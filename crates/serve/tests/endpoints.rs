@@ -111,8 +111,10 @@ fn exporter_serves_all_endpoints() {
     frappe_obs::slowlog().clear();
     let server = start_server();
 
-    // Drive some traffic so every surface has data.
-    let responses = query_lines(&server, &[HOP, HOP, "broken ("]);
+    // Drive some traffic so every surface has data. HOP runs three times,
+    // so its plan-cache lifecycle reaches a hit from a fresh registry (see
+    // the `/queries` check below).
+    let responses = query_lines(&server, &[HOP, HOP, HOP, "broken ("]);
     assert!(responses[0].contains("\"ok\": true"));
 
     let (status, body) = http_get(&server, "/healthz");
@@ -168,7 +170,7 @@ fn exporter_serves_all_endpoints() {
         metrics.contains("frappe_serve_admit_inflight_peak"),
         "{metrics}"
     );
-    // Three requests committed through the reqtrace ring above.
+    // Four requests committed through the reqtrace ring above.
     assert!(
         !metrics.contains("frappe_reqtrace_committed_total 0\n"),
         "{metrics}"
@@ -194,8 +196,9 @@ fn exporter_serves_all_endpoints() {
         "{queries}"
     );
     assert!(queries.contains("\"p95\":"), "{queries}");
-    // HOP ran twice through the server's shared engine: one planning miss,
-    // at least one cache hit.
+    // HOP ran three times through the server's shared engine: a planning
+    // miss, a re-plan once its first run seeded the statistics, then a
+    // cache hit (the lifecycle `query/tests/plan_cache.rs` pins).
     assert!(!queries.contains("\"hits\": 0,"), "{queries}");
 
     let (status, _) = http_get(&server, "/no-such");

@@ -418,7 +418,15 @@ impl GraphStore {
         let (name_index, label_index, node_prop_offsets, edge_prop_offsets) = {
             let g = &*self;
             std::thread::scope(|scope| {
-                let ni = scope.spawn(|| NameIndex::build(g));
+                let ni = scope.spawn(|| {
+                    NameIndex::build(
+                        g,
+                        g.interner.len(),
+                        |sym| g.interner.resolve(Sym(sym)),
+                        |id| g.node_data(id).short_name.0,
+                        |id| g.node_data(id).name.unwrap_or(g.node_data(id).short_name).0,
+                    )
+                });
                 let li = scope.spawn(|| LabelIndex::build(g));
                 let eo = scope.spawn(|| {
                     let mut offsets = Vec::with_capacity(g.edges.len() + 1);
@@ -813,7 +821,9 @@ impl GraphStore {
         pattern: &NamePattern,
     ) -> Result<Vec<NodeId>, StoreError> {
         let idx = self.name_index.as_ref().ok_or(StoreError::NotFrozen)?;
-        Ok(idx.lookup(self, pattern, field))
+        Ok(idx.lookup(field, pattern, |offset, len| {
+            self.cache.touch_range(StoreFile::NameIndex, offset, len)
+        }))
     }
 
     /// All live nodes carrying `label`. Requires a frozen store.
@@ -836,16 +846,6 @@ impl GraphStore {
     /// Internal: raw node data (used by index builders and snapshots).
     pub(crate) fn node_data(&self, id: NodeId) -> &NodeData {
         &self.nodes[id.index()]
-    }
-
-    /// Internal: raw short-name symbol without cache charges.
-    pub(crate) fn node_short_sym(&self, id: NodeId) -> Sym {
-        self.nodes[id.index()].short_name
-    }
-
-    pub(crate) fn node_name_sym(&self, id: NodeId) -> Sym {
-        let n = &self.nodes[id.index()];
-        n.name.unwrap_or(n.short_name)
     }
 }
 

@@ -29,7 +29,7 @@
 use crate::error::StoreError;
 use crate::graph::Direction;
 use crate::label_index::LabelIndex;
-use crate::name_index::{NameField, NamePattern};
+use crate::name_index::{NameField, NameIndex, NamePattern};
 use crate::snapshot::{
     F_DELETED, F_EXTRA, F_LONG, F_NAME, F_NAME_RANGE, F_USE_RANGE, MAGIC, VERSION,
 };
@@ -275,11 +275,12 @@ impl MappedSnapshot {
         self.u32_at(self.node_off(id) + 3)
     }
 
-    fn node_name_sym(&self, id: NodeId) -> Option<u32> {
+    /// The `NAME` symbol, falling back to `SHORT_NAME`'s.
+    fn node_name_sym(&self, id: NodeId) -> u32 {
         if self.node_flags(id) & F_NAME != 0 {
-            Some(self.u32_at(self.node_off(id) + 7))
+            self.u32_at(self.node_off(id) + 7)
         } else {
-            None
+            self.node_short_sym(id)
         }
     }
 
@@ -477,56 +478,6 @@ impl Csr {
     }
 }
 
-/// One field's lazily built term dictionary, mirroring the owned
-/// `NameIndex` construction exactly (sorted lower-cased terms, sorted
-/// postings) so lookups return identical results.
-struct FieldTerms {
-    terms: Vec<(Box<str>, Vec<NodeId>)>,
-}
-
-impl FieldTerms {
-    fn build(entries: impl Iterator<Item = (String, NodeId)>) -> FieldTerms {
-        let mut map: std::collections::HashMap<String, Vec<NodeId>> = Default::default();
-        for (term, id) in entries {
-            map.entry(term).or_default().push(id);
-        }
-        let mut terms: Vec<(Box<str>, Vec<NodeId>)> = map
-            .into_iter()
-            .map(|(t, mut ids)| {
-                ids.sort_unstable();
-                (t.into_boxed_str(), ids)
-            })
-            .collect();
-        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        FieldTerms { terms }
-    }
-
-    fn lookup(&self, pattern: &NamePattern) -> Vec<NodeId> {
-        let prefix = pattern.scan_prefix();
-        let start = self.terms.partition_point(|(t, _)| &**t < prefix);
-        let mut out = Vec::new();
-        for (term, ids) in &self.terms[start..] {
-            if !term.starts_with(prefix) {
-                break;
-            }
-            if pattern.matches(term) {
-                out.extend_from_slice(ids);
-            }
-            if matches!(pattern, NamePattern::Exact(_)) {
-                break;
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
-struct MappedNameIndex {
-    short_name: FieldTerms,
-    name: FieldTerms,
-}
-
 /// A read-only graph borrowing its records from a validated snapshot.
 ///
 /// Cold open does only the [`MappedSnapshot`] validation scan; adjacency
@@ -534,7 +485,7 @@ struct MappedNameIndex {
 pub struct MappedGraph {
     snap: MappedSnapshot,
     csr: OnceLock<Csr>,
-    name_index: OnceLock<MappedNameIndex>,
+    name_index: OnceLock<NameIndex>,
     label_index: OnceLock<LabelIndex>,
 }
 
@@ -577,18 +528,16 @@ impl MappedGraph {
         self.csr.get_or_init(|| Csr::build(&self.snap))
     }
 
-    fn names(&self) -> &MappedNameIndex {
+    fn names(&self) -> &NameIndex {
         self.name_index.get_or_init(|| {
             let s = &self.snap;
-            let short_name = FieldTerms::build(
-                GraphView::nodes(self)
-                    .map(|id| (s.resolve(s.node_short_sym(id)).to_ascii_lowercase(), id)),
-            );
-            let name = FieldTerms::build(GraphView::nodes(self).map(|id| {
-                let sym = s.node_name_sym(id).unwrap_or_else(|| s.node_short_sym(id));
-                (s.resolve(sym).to_ascii_lowercase(), id)
-            }));
-            MappedNameIndex { short_name, name }
+            NameIndex::build(
+                self,
+                s.strings.len(),
+                |sym| s.resolve(sym),
+                |id| s.node_short_sym(id),
+                |id| s.node_name_sym(id),
+            )
         })
     }
 
@@ -661,8 +610,7 @@ impl GraphView for MappedGraph {
     }
 
     fn node_name(&self, id: NodeId) -> &str {
-        let s = &self.snap;
-        s.resolve(s.node_name_sym(id).unwrap_or_else(|| s.node_short_sym(id)))
+        self.snap.resolve(self.snap.node_name_sym(id))
     }
 
     fn node_prop(&self, id: NodeId, key: PropKey) -> Option<PropValue> {
@@ -758,13 +706,7 @@ impl GraphView for MappedGraph {
         if !self.snap.frozen {
             return Err(StoreError::NotFrozen);
         }
-        frappe_obs::counter!("store.name_index.lookups").incr();
-        let idx = self.names();
-        let terms = match field {
-            NameField::ShortName => &idx.short_name,
-            NameField::Name => &idx.name,
-        };
-        Ok(terms.lookup(pattern))
+        Ok(self.names().lookup(field, pattern, |_, _| {}))
     }
 
     fn nodes_with_label(&self, label: Label) -> Result<&[NodeId], StoreError> {

@@ -8,8 +8,7 @@
 //! exact, prefix, and general wildcard (`*`, `?`) lookup, all
 //! case-insensitive like Lucene's default analyzer.
 
-use crate::graph::GraphStore;
-use crate::pagecache::StoreFile;
+use crate::view::GraphView;
 use frappe_model::NodeId;
 
 /// Which indexed field a lookup targets.
@@ -75,9 +74,8 @@ impl NamePattern {
         }
     }
 
-    /// The literal prefix usable to narrow a term-dictionary scan (shared
-    /// with the mapped reader's lazily built term dictionary).
-    pub(crate) fn scan_prefix(&self) -> &str {
+    /// The literal prefix usable to narrow a term-dictionary scan.
+    fn scan_prefix(&self) -> &str {
         match self {
             NamePattern::Exact(s) | NamePattern::Prefix(s) => s,
             NamePattern::Wildcard(s) => {
@@ -164,78 +162,140 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
     pi == p.len()
 }
 
-/// One field's term dictionary: sorted lower-cased terms with postings.
+/// One field's term dictionary: the distinct lower-cased terms in sorted
+/// order, each with its ascending postings, in three flat arrays.
+///
+/// Term `i`'s text is `text[text_start[i]..text_start[i + 1]]` and its
+/// postings are `postings[post_start[i]..post_start[i + 1]]`.
 #[derive(Debug, Default)]
-struct FieldIndex {
-    /// Sorted by term.
-    terms: Vec<(Box<str>, Vec<NodeId>)>,
-    /// Cumulative simulated byte offset of each term entry (for paging).
-    offsets: Vec<u64>,
+struct TermIndex {
+    text: String,
+    text_start: Vec<u32>,
+    post_start: Vec<u32>,
+    postings: Vec<NodeId>,
 }
 
-impl FieldIndex {
-    fn build(entries: impl Iterator<Item = (String, NodeId)>) -> FieldIndex {
-        let mut map: std::collections::HashMap<String, Vec<NodeId>> = Default::default();
-        for (term, id) in entries {
-            map.entry(term).or_default().push(id);
+impl TermIndex {
+    /// Builds the dictionary over `g`'s live nodes from each node's symbol
+    /// (`sym_of`) and symbol text (`resolve`): fold each used symbol once,
+    /// sort and merge the folded texts (`Main`/`main`) into terms, then fill
+    /// the postings in ascending node order so each list comes out sorted.
+    fn build<'s, G: GraphView>(
+        g: &G,
+        symbols: usize,
+        resolve: impl Fn(u32) -> &'s str,
+        sym_of: impl Fn(NodeId) -> u32,
+    ) -> TermIndex {
+        let mut per_sym = vec![0u32; symbols];
+        for id in g.nodes() {
+            per_sym[sym_of(id) as usize] += 1;
         }
-        let mut terms: Vec<(Box<str>, Vec<NodeId>)> = map
-            .into_iter()
-            .map(|(t, mut ids)| {
-                ids.sort_unstable();
-                (t.into_boxed_str(), ids)
-            })
-            .collect();
-        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut offsets = Vec::with_capacity(terms.len() + 1);
-        let mut off = 0u64;
-        for (t, ids) in &terms {
-            offsets.push(off);
-            off += (t.len() + 16 + ids.len() * 4) as u64;
+        // (start, end, symbol) of each used symbol's folded text in `folded`.
+        let mut folded = String::new();
+        let mut spans: Vec<(u32, u32, u32)> = Vec::new();
+        for (sym, _) in per_sym.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let start = text_offset(folded.len());
+            folded.push_str(resolve(sym as u32));
+            folded[start as usize..].make_ascii_lowercase();
+            spans.push((start, text_offset(folded.len()), sym as u32));
         }
-        offsets.push(off);
-        FieldIndex { terms, offsets }
+        let text_of = |&(start, end, _): &(u32, u32, u32)| &folded[start as usize..end as usize];
+        spans.sort_unstable_by(|a, b| text_of(a).cmp(text_of(b)));
+
+        // Merge equal texts into terms; `per_sym` becomes symbol → term.
+        let mut ix = TermIndex::default();
+        let (mut total, mut prev) = (0u32, None);
+        for span in &spans {
+            let text = text_of(span);
+            if prev != Some(text) {
+                prev = Some(text);
+                ix.text_start.push(text_offset(ix.text.len()));
+                ix.post_start.push(total);
+                ix.text.push_str(text);
+            }
+            let sym = span.2 as usize;
+            total += per_sym[sym];
+            per_sym[sym] = ix.text_start.len() as u32 - 1;
+        }
+        ix.text_start.push(text_offset(ix.text.len()));
+        ix.post_start.push(total);
+        drop((spans, folded));
+
+        ix.postings = vec![NodeId(0); total as usize];
+        let mut cursor = ix.post_start[..ix.len()].to_vec();
+        for id in g.nodes() {
+            let term = per_sym[sym_of(id) as usize] as usize;
+            ix.postings[cursor[term] as usize] = id;
+            cursor[term] += 1;
+        }
+        ix
     }
 
-    fn storage_bytes(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0) as usize
+    fn len(&self) -> usize {
+        self.text_start.len() - 1
+    }
+
+    fn term(&self, i: usize) -> &str {
+        &self.text[self.text_start[i] as usize..self.text_start[i + 1] as usize]
+    }
+
+    fn postings(&self, i: usize) -> &[NodeId] {
+        &self.postings[self.post_start[i] as usize..self.post_start[i + 1] as usize]
+    }
+
+    /// Simulated byte offset of term `i`'s entry for page-cache accounting.
+    /// An entry costs its text, 16 bytes of header and 4 bytes per posting,
+    /// so the running sum of the entries before `i` has this closed form
+    /// (`i == len()` gives the total size).
+    fn entry_offset(&self, i: usize) -> u64 {
+        u64::from(self.text_start[i]) + 16 * i as u64 + 4 * u64::from(self.post_start[i])
     }
 
     /// Index of the first term ≥ `prefix`.
     fn lower_bound(&self, prefix: &str) -> usize {
-        self.terms.partition_point(|(t, _)| &**t < prefix)
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.term(mid) < prefix {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
-/// The two-field name index.
+/// Term-text offsets are `u32`: one field's text is bounded at 4 GiB.
+fn text_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("name index text exceeds 4 GiB")
+}
+
+/// The two-field name index, shared by the owned store (built at freeze)
+/// and the mapped reader (built on first lookup).
 #[derive(Debug)]
-pub struct NameIndex {
-    short_name: FieldIndex,
-    name: FieldIndex,
+pub(crate) struct NameIndex {
+    short_name: TermIndex,
+    name: TermIndex,
 }
 
 impl NameIndex {
-    /// Builds the index over all live nodes of `g`.
-    pub fn build(g: &GraphStore) -> NameIndex {
-        let interner = g.interner();
+    /// Builds the index over all live nodes of `g`. `resolve` gives the text
+    /// of each of the store's `symbols` interned strings; `short_sym` and
+    /// `name_sym` give a node's symbol for each field.
+    pub(crate) fn build<'s, G: GraphView + Sync>(
+        g: &G,
+        symbols: usize,
+        resolve: impl Fn(u32) -> &'s str + Sync,
+        short_sym: impl Fn(NodeId) -> u32 + Sync,
+        name_sym: impl Fn(NodeId) -> u32 + Sync,
+    ) -> NameIndex {
         // The two field indexes are independent scans; build them
         // concurrently. Each is a pure function of the store, so the
         // result is identical to building them back to back.
         std::thread::scope(|scope| {
-            let short = scope.spawn(|| {
-                FieldIndex::build(g.nodes().map(|id| {
-                    (
-                        interner.resolve(g.node_short_sym(id)).to_ascii_lowercase(),
-                        id,
-                    )
-                }))
-            });
-            let name = FieldIndex::build(g.nodes().map(|id| {
-                (
-                    interner.resolve(g.node_name_sym(id)).to_ascii_lowercase(),
-                    id,
-                )
-            }));
+            let short = scope.spawn(|| TermIndex::build(g, symbols, &resolve, &short_sym));
+            let name = TermIndex::build(g, symbols, &resolve, &name_sym);
             NameIndex {
                 short_name: short.join().expect("short-name index build panicked"),
                 name,
@@ -243,39 +303,37 @@ impl NameIndex {
         })
     }
 
-    fn field(&self, f: NameField) -> &FieldIndex {
-        match f {
+    /// Simulated index size in bytes (Table 4 "Indexes" row contribution).
+    pub(crate) fn storage_bytes(&self) -> usize {
+        let total = |t: &TermIndex| t.entry_offset(t.len()) as usize;
+        total(&self.short_name) + total(&self.name)
+    }
+
+    /// Looks up all nodes whose `field` term matches `pattern`, passing the
+    /// `(offset, len)` of each term entry visited to `touch`.
+    pub(crate) fn lookup(
+        &self,
+        field: NameField,
+        pattern: &NamePattern,
+        mut touch: impl FnMut(u64, u64),
+    ) -> Vec<NodeId> {
+        let terms = match field {
             NameField::ShortName => &self.short_name,
             NameField::Name => &self.name,
-        }
-    }
-
-    /// Simulated index size in bytes (Table 4 "Indexes" row contribution).
-    pub fn storage_bytes(&self) -> usize {
-        self.short_name.storage_bytes() + self.name.storage_bytes()
-    }
-
-    /// Looks up all nodes whose `field` term matches `pattern`, charging
-    /// page-cache accesses for each term entry visited.
-    pub fn lookup(&self, g: &GraphStore, pattern: &NamePattern, field: NameField) -> Vec<NodeId> {
-        let fi = self.field(field);
+        };
         let prefix = pattern.scan_prefix();
-        let start = fi.lower_bound(prefix);
         let mut out = Vec::new();
         let mut scanned = 0u64;
-        for i in start..fi.terms.len() {
-            let (term, ids) = &fi.terms[i];
+        for i in terms.lower_bound(prefix)..terms.len() {
+            let term = terms.term(i);
             if !term.starts_with(prefix) {
                 break;
             }
             scanned += 1;
-            g.cache.touch_range(
-                StoreFile::NameIndex,
-                fi.offsets[i],
-                fi.offsets[i + 1] - fi.offsets[i],
-            );
+            let offset = terms.entry_offset(i);
+            touch(offset, terms.entry_offset(i + 1) - offset);
             if pattern.matches(term) {
-                out.extend_from_slice(ids);
+                out.extend_from_slice(terms.postings(i));
             }
             if matches!(pattern, NamePattern::Exact(_)) {
                 break;
@@ -283,8 +341,8 @@ impl NameIndex {
         }
         frappe_obs::counter!("store.name_index.lookups").incr();
         frappe_obs::counter!("store.name_index.scanned_terms").add(scanned);
+        // Terms' postings are disjoint: sorting is all a merge needs.
         out.sort_unstable();
-        out.dedup();
         out
     }
 }
@@ -292,6 +350,7 @@ impl NameIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphStore;
     use frappe_model::NodeType;
 
     fn sample() -> GraphStore {
@@ -401,6 +460,73 @@ mod tests {
     }
 
     #[test]
+    fn case_variants_share_one_term() {
+        let mut g = GraphStore::new();
+        for name in ["MAIN", "x", "main", "Main", "main"] {
+            g.add_node(NodeType::Function, name);
+        }
+        g.freeze();
+        let terms = &g.name_index.as_ref().unwrap().short_name;
+        assert_eq!(terms.len(), 2);
+        assert_eq!((terms.term(0), terms.term(1)), ("main", "x"));
+        assert_eq!(
+            terms.postings(0),
+            &[NodeId(0), NodeId(2), NodeId(3), NodeId(4)]
+        );
+        assert_eq!(terms.postings(1), &[NodeId(1)]);
+    }
+
+    /// `SynthSpec::scaled(0.02)` as this crate's store. The synth crate links
+    /// its own build of `frappe-store`, so the graph is carried over by its
+    /// node types and names (it has no deleted nodes, so ids are kept).
+    fn synth_sample() -> GraphStore {
+        let out = frappe_synth::generate(&frappe_synth::SynthSpec::scaled(0.02));
+        let src = &out.graph;
+        assert_eq!(src.node_capacity(), src.node_count());
+        let mut g = GraphStore::new();
+        for id in src.nodes() {
+            let n = g.add_node(src.node_type(id), src.node_short_name(id));
+            if src.node_name(id) != src.node_short_name(id) {
+                g.set_node_name(n, src.node_name(id));
+            }
+        }
+        g.freeze();
+        g
+    }
+
+    /// The page-cache layout is the one the index has always charged: term
+    /// entries in term order, each `len + 16 + 4·postings` bytes. Checks
+    /// every entry an exact lookup touches against that running sum, and
+    /// the totals against the values the per-entry offset table gave.
+    #[test]
+    fn page_cache_offsets_follow_the_entry_rule() {
+        let mut sample = sample();
+        sample.freeze();
+        // (graph, SHORT_NAME bytes, NAME bytes): fixed values measured with
+        // the per-entry offset table, so any layout change shows here.
+        for (g, short_bytes, name_bytes) in [(sample, 173, 187), (synth_sample(), 151_329, 355_978)]
+        {
+            let idx = g.name_index.as_ref().unwrap();
+            for (field, terms, want) in [
+                (NameField::ShortName, &idx.short_name, short_bytes),
+                (NameField::Name, &idx.name, name_bytes),
+            ] {
+                let mut offset = 0u64;
+                for i in 0..terms.len() {
+                    let len = (terms.term(i).len() + 16 + 4 * terms.postings(i).len()) as u64;
+                    let mut touched = Vec::new();
+                    let pattern = NamePattern::Exact(terms.term(i).to_owned());
+                    idx.lookup(field, &pattern, |off, len| touched.push((off, len)));
+                    assert_eq!(touched, [(offset, len)], "{field:?} term {i}");
+                    offset += len;
+                }
+                assert_eq!(offset, want, "{field:?}");
+            }
+            assert_eq!(idx.storage_bytes() as u64, short_bytes + name_bytes);
+        }
+    }
+
+    #[test]
     fn deleted_nodes_are_not_indexed() {
         let mut g = sample();
         let doomed = g.add_node(NodeType::Function, "doomed");
@@ -474,6 +600,7 @@ mod tests {
 #[cfg(test)]
 mod fuzzy_tests {
     use super::*;
+    use crate::GraphStore;
     use frappe_model::NodeType;
 
     #[test]

@@ -59,6 +59,11 @@ fn apply(ops: &[Op]) -> GraphStore {
                 if decor & 16 != 0 {
                     g.set_node_prop(n, PropKey::Index, i64::from(*decor));
                 }
+                // Case variants of a few shared names fold to one term.
+                if decor & 32 != 0 {
+                    let stem = if decor & 64 != 0 { "FILE" } else { "File" };
+                    g.set_node_name(n, &format!("{stem}{}.c", decor % 3));
+                }
                 nodes.push(n);
             }
             Op::AddEdge(a, t, b, decor) => {
@@ -212,6 +217,19 @@ fn assert_name_index_equivalent(g: &GraphStore, m: &MappedGraph) {
                 g.lookup_name(field, pat).unwrap(),
                 "{field:?} {pat:?}"
             );
+        }
+    }
+    // Every term's postings: an exact lookup of each live node's folded
+    // text returns the same ids from both stores.
+    for n in g.nodes() {
+        for (field, text) in [
+            (NameField::ShortName, g.node_short_name(n)),
+            (NameField::Name, g.node_name(n)),
+        ] {
+            let pat = NamePattern::exact(text);
+            let ids = m.lookup_name(field, &pat).unwrap();
+            assert_eq!(ids, g.lookup_name(field, &pat).unwrap(), "{field:?} {text}");
+            assert!(ids.contains(&n), "{field:?} {text} misses {n:?}");
         }
     }
     for label in frappe_model::Label::ALL {

@@ -94,4 +94,14 @@ FRAPPE_BENCH_QUICK=1 FRAPPE_BENCH_DIR="$PWD/target/frappe-bench" \
 echo "==> scripts/bench_gate.sh"
 FRAPPE_BENCH_DIR="$PWD/target/frappe-bench" scripts/bench_gate.sh
 
+# End-to-end benchmark (benchmark/, its own workspace): the driver's unit
+# tests, then the quick smoke (scale 0.02, 1 s windows) over the real
+# socket, which exits non-zero if any run is not correct (a reply the
+# answer oracle rejects, too many failed requests) or the server dies.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml ${CARGO_FLAGS[*]}"
+cargo test -q --manifest-path benchmark/Cargo.toml "${CARGO_FLAGS[@]}"
+
+echo "==> benchmark/run.sh --quick"
+bash benchmark/run.sh --quick
+
 echo "verify: OK"

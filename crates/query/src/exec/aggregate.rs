@@ -14,7 +14,7 @@ use super::{Ctx, Row};
 use crate::ast::AggFunc;
 use crate::binder::{BoundExpr, BoundProjection, OrderKey};
 use crate::error::QueryError;
-use crate::exec::filter;
+use crate::exec::{filter, sink};
 use crate::value::Value;
 use frappe_model::PropValue;
 use frappe_store::GraphView;
@@ -126,91 +126,103 @@ fn eval_finished(expr: &BoundExpr, accs: &[Value]) -> Value {
     }
 }
 
-/// Applies an aggregated projection: group, accumulate, finalize, then
-/// `ORDER BY` (output columns only) / `SKIP` / `LIMIT`.
-pub(super) fn apply<G: GraphView>(
-    ctx: &mut Ctx<'_, G>,
-    rows: Vec<Row>,
-    proj: &BoundProjection,
-) -> Result<Vec<Row>, QueryError> {
-    let mut specs: Vec<Option<(AggFunc, Option<&BoundExpr>)>> = Vec::with_capacity(proj.n_accs);
-    for item in &proj.items {
-        collect_specs(&item.expr, &mut specs);
+/// An aggregated projection fed one row at a time: rows are grouped by
+/// the non-aggregate items (first-seen order) and folded into their
+/// group's accumulators as they arrive; [`Groups::finish`] finalizes one
+/// row per group, then `ORDER BY` (output columns only) / `SKIP` / `LIMIT`.
+pub(super) struct Groups<'q> {
+    proj: &'q BoundProjection,
+    specs: Vec<Option<(AggFunc, Option<&'q BoundExpr>)>>,
+    index: HashMap<Vec<Value>, usize>,
+    groups: Vec<(Vec<Value>, Vec<Acc>)>,
+    /// The group-key buffer, reused across pushes.
+    key: Vec<Value>,
+}
+
+impl<'q> Groups<'q> {
+    pub(super) fn new(proj: &'q BoundProjection) -> Groups<'q> {
+        let mut specs = Vec::with_capacity(proj.n_accs);
+        for item in &proj.items {
+            collect_specs(&item.expr, &mut specs);
+        }
+        Groups {
+            proj,
+            specs,
+            index: HashMap::new(),
+            groups: Vec::new(),
+            key: Vec::new(),
+        }
     }
 
-    // Group rows by the non-aggregate items, first-seen order.
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
-    for row in &rows {
-        let mut key = Vec::new();
-        for item in &proj.items {
+    pub(super) fn push<G: GraphView>(
+        &mut self,
+        ctx: &mut Ctx<'_, G>,
+        row: &Row,
+    ) -> Result<(), QueryError> {
+        self.key.clear();
+        for item in &self.proj.items {
             if !item.agg {
-                key.push(filter::eval_value(ctx, row, &item.expr)?);
+                self.key.push(filter::eval_value(ctx, row, &item.expr)?);
             }
         }
-        let slot = match index.get(&key) {
+        let slot = match self.index.get(&self.key) {
             Some(&s) => s,
             None => {
-                let accs = specs
+                let accs = self
+                    .specs
                     .iter()
                     .map(|s| Acc::new(s.as_ref().map_or(AggFunc::Count, |(f, _)| *f)))
                     .collect();
-                groups.push((key.clone(), accs));
-                index.insert(key, groups.len() - 1);
-                groups.len() - 1
+                self.groups.push((self.key.clone(), accs));
+                self.index.insert(self.key.clone(), self.groups.len() - 1);
+                self.groups.len() - 1
             }
         };
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, spec) in self.specs.iter().enumerate() {
             let Some((_, arg)) = spec else { continue };
             let v = match arg {
                 Some(e) => Some(filter::eval_value(ctx, row, e)?),
                 None => None,
             };
-            groups[slot].1[i].update(v);
+            self.groups[slot].1[i].update(v);
         }
+        Ok(())
     }
 
-    // Finalize: one output row per group.
-    let mut out: Vec<Row> = Vec::with_capacity(groups.len());
-    for (key, accs) in groups {
-        let finished: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
-        let mut ki = 0;
-        let mut row = Vec::with_capacity(proj.items.len());
-        for item in &proj.items {
-            if item.agg {
-                row.push(eval_finished(&item.expr, &finished));
-            } else {
-                row.push(key[ki].clone());
-                ki += 1;
-            }
-        }
-        out.push(row);
-    }
-
-    // ORDER BY: the binder guarantees only output-column keys here.
-    if !proj.order_by.is_empty() {
-        out.sort_by(|a, b| {
-            for (key, desc) in &proj.order_by {
-                let OrderKey::Column(i) = key else { continue };
-                let ord = filter::value_cmp(
-                    a.get(*i).unwrap_or(&Value::Null),
-                    b.get(*i).unwrap_or(&Value::Null),
-                );
-                if ord != std::cmp::Ordering::Equal {
-                    return if *desc { ord.reverse() } else { ord };
+    pub(super) fn finish(self) -> Vec<Row> {
+        let proj = self.proj;
+        let mut out: Vec<Row> = Vec::with_capacity(self.groups.len());
+        for (key, accs) in self.groups {
+            let finished: Vec<Value> = accs.into_iter().map(Acc::finish).collect();
+            let mut ki = 0;
+            let mut row = Vec::with_capacity(proj.items.len());
+            for item in &proj.items {
+                if item.agg {
+                    row.push(eval_finished(&item.expr, &finished));
+                } else {
+                    row.push(key[ki].clone());
+                    ki += 1;
                 }
             }
-            std::cmp::Ordering::Equal
-        });
+            out.push(row);
+        }
+
+        // ORDER BY: the binder guarantees only output-column keys here.
+        if !proj.order_by.is_empty() {
+            out.sort_by(|a, b| {
+                for (key, desc) in &proj.order_by {
+                    let OrderKey::Column(i) = key else { continue };
+                    let ord = filter::value_cmp(
+                        a.get(*i).unwrap_or(&Value::Null),
+                        b.get(*i).unwrap_or(&Value::Null),
+                    );
+                    if ord != std::cmp::Ordering::Equal {
+                        return if *desc { ord.reverse() } else { ord };
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        sink::skip_limit(proj, out.into_iter())
     }
-    let skip = proj
-        .skip
-        .map_or(0, |s| usize::try_from(s).unwrap_or(usize::MAX));
-    if skip > 0 {
-        out.drain(..skip.min(out.len()));
-    }
-    if let Some(limit) = proj.limit {
-        out.truncate(usize::try_from(limit).unwrap_or(usize::MAX));
-    }
-    Ok(out)
 }

@@ -24,20 +24,23 @@ use frappe_store::graph::Direction;
 use frappe_store::GraphView;
 use std::collections::HashSet;
 
-/// Expands `pattern` against every row, using the planned anchor.
+/// Receives each match as it is found. The row is the matcher's scratch
+/// row, valid only for the call; the consumer copies what it keeps.
+pub(super) type Emit<'e, G> = dyn FnMut(&mut Ctx<'_, G>, &Row) -> Result<(), QueryError> + 'e;
+
+/// Expands `pattern` against every row, using the planned anchor, and
+/// hands every match to `emit` in match order.
 pub(super) fn expand_pattern<G: GraphView>(
     ctx: &mut Ctx<'_, G>,
-    rows: Vec<Row>,
+    rows: &[Row],
     pattern: &BoundPattern,
     anchor: PlannedAnchor,
-) -> Result<Vec<Row>, QueryError> {
-    let mut out_rows = Vec::new();
+    emit: &mut Emit<'_, G>,
+) -> Result<(), QueryError> {
     for row in rows {
-        match_pattern_into(ctx, &row, pattern, Some(anchor), false, &mut |r| {
-            out_rows.push(r.to_vec())
-        })?;
+        match_pattern_into(ctx, row, pattern, Some(anchor), false, emit)?;
     }
-    Ok(out_rows)
+    Ok(())
 }
 
 /// Checks whether `pattern` has at least one match extending `row`
@@ -50,7 +53,10 @@ pub(super) fn pattern_exists<G: GraphView>(
     pattern: &BoundPattern,
 ) -> Result<bool, QueryError> {
     let mut found = false;
-    match_pattern_into(ctx, row, pattern, None, true, &mut |_| found = true)?;
+    match_pattern_into(ctx, row, pattern, None, true, &mut |_, _| {
+        found = true;
+        Ok(())
+    })?;
     Ok(found)
 }
 
@@ -62,7 +68,7 @@ fn match_pattern_into<G: GraphView>(
     pattern: &BoundPattern,
     planned: Option<PlannedAnchor>,
     first_only: bool,
-    emit: &mut dyn FnMut(&Row),
+    emit: &mut Emit<'_, G>,
 ) -> Result<(), QueryError> {
     let anchor = match planned {
         Some(a) => scan::resolve(a, pattern, row),
@@ -115,21 +121,27 @@ fn match_pattern_into<G: GraphView>(
     Ok(())
 }
 
-/// Undo log for speculative bindings.
+/// Undo log for speculative bindings. A binding only ever fills a `NULL`
+/// slot, so undoing it resets the slot to `NULL`. One trail records at
+/// most a relationship and its far node, so it needs no heap.
 #[derive(Default)]
 struct Trail {
-    entries: Vec<(usize, Value)>,
+    slots: [usize; 2],
+    len: usize,
 }
 
 impl Trail {
-    fn save(&mut self, row: &Row, slot: usize) {
-        self.entries.push((slot, get(row, slot).clone()));
+    /// Binds the `NULL` slot `slot` of `row` to `v`.
+    fn bind(&mut self, row: &mut Row, slot: usize, v: Value) {
+        self.slots[self.len] = slot;
+        self.len += 1;
+        grow(row, slot);
+        row[slot] = v;
     }
 
     fn undo(self, row: &mut Row) {
-        for (slot, old) in self.entries.into_iter().rev() {
-            grow(row, slot);
-            row[slot] = old;
+        for &slot in self.slots[..self.len].iter().rev() {
+            row[slot] = Value::Null;
         }
     }
 }
@@ -159,11 +171,7 @@ fn bind_node<G: GraphView>(
         }
     }
     match get(row, np.slot) {
-        Value::Null => {
-            trail.save(row, np.slot);
-            grow(row, np.slot);
-            row[np.slot] = Value::Node(node);
-        }
+        Value::Null => trail.bind(row, np.slot, Value::Node(node)),
         Value::Node(existing) => {
             if *existing != node {
                 return false;
@@ -185,7 +193,7 @@ fn expand_chain<G: GraphView>(
     used: &mut Vec<EdgeId>,
     first_only: bool,
     done: &mut bool,
-    emit: &mut dyn FnMut(&Row),
+    emit: &mut Emit<'_, G>,
 ) -> Result<(), QueryError> {
     if *done && first_only {
         return Ok(());
@@ -210,7 +218,7 @@ fn expand_left<G: GraphView>(
     first_only: bool,
     done: &mut bool,
     used: &mut Vec<EdgeId>,
-    emit: &mut dyn FnMut(&Row),
+    emit: &mut Emit<'_, G>,
 ) -> Result<(), QueryError> {
     // Find the rightmost unbound node position (all nodes to its right are
     // bound by construction).
@@ -219,8 +227,7 @@ fn expand_left<G: GraphView>(
         .find(|i| bound_node(row, &pattern.nodes[*i]).is_none());
     let Some(target) = unbound else {
         *done = true;
-        emit(row);
-        return Ok(());
+        return emit(ctx, row);
     };
     // The node to its right must be bound; step leftwards over rels[target].
     let from_node = bound_node(row, &pattern.nodes[target + 1]).expect("right neighbor bound");
@@ -253,7 +260,7 @@ fn step_over_rel<G: GraphView>(
     used: &mut Vec<EdgeId>,
     first_only: bool,
     done: &mut bool,
-    emit: &mut dyn FnMut(&Row),
+    emit: &mut Emit<'_, G>,
 ) -> Result<(), QueryError> {
     let target_np = if moving_right {
         &pattern.nodes[pos + 1]
@@ -270,10 +277,11 @@ fn step_over_rel<G: GraphView>(
 
     match rel.var_len {
         None => {
+            // A copy of the graph reference: the edge iterator borrows it,
+            // not `ctx`, so the recursion below can take `&mut ctx`.
+            let g = ctx.g;
             for dir in dirs {
-                // Collect first: the recursion below needs &mut ctx.
-                let edges: Vec<EdgeId> = typed_edges(ctx.g, from_node, *dir, rel);
-                for e in edges {
+                for e in typed_edges(g, from_node, *dir, rel) {
                     if *done && first_only {
                         return Ok(());
                     }
@@ -281,22 +289,18 @@ fn step_over_rel<G: GraphView>(
                     if used.contains(&e) {
                         continue;
                     }
-                    if !edge_props_match(ctx.g, e, rel) {
+                    if !edge_props_match(g, e, rel) {
                         continue;
                     }
                     let other = match dir {
-                        Direction::Outgoing => ctx.g.edge_dst(e),
-                        Direction::Incoming => ctx.g.edge_src(e),
+                        Direction::Outgoing => g.edge_dst(e),
+                        Direction::Incoming => g.edge_src(e),
                     };
                     let mut trail = Trail::default();
                     // Bind the rel variable if named.
                     if let Some(slot) = rel.slot {
                         match get(row, slot) {
-                            Value::Null => {
-                                trail.save(row, slot);
-                                grow(row, slot);
-                                row[slot] = Value::Edge(e);
-                            }
+                            Value::Null => trail.bind(row, slot, Value::Edge(e)),
                             Value::Edge(existing) if *existing == e => {}
                             _ => {
                                 trail.undo(row);
@@ -353,20 +357,20 @@ fn step_over_rel<G: GraphView>(
                         ctx.stats.var_len_max_depth = ctx.stats.var_len_max_depth.max(depth);
                     }
                     let mut next = Vec::new();
+                    let g = ctx.g;
                     for n in frontier.drain(..) {
                         for dir in dirs {
-                            let edges: Vec<EdgeId> = typed_edges(ctx.g, n, *dir, rel);
-                            for e in edges {
+                            for e in typed_edges(g, n, *dir, rel) {
                                 ctx.budget.tick()?;
                                 if ctx.stats.enabled {
                                     ctx.stats.var_len_expansions += 1;
                                 }
-                                if !edge_props_match(ctx.g, e, rel) {
+                                if !edge_props_match(g, e, rel) {
                                     continue;
                                 }
                                 let other = match dir {
-                                    Direction::Outgoing => ctx.g.edge_dst(e),
-                                    Direction::Incoming => ctx.g.edge_src(e),
+                                    Direction::Outgoing => g.edge_dst(e),
+                                    Direction::Incoming => g.edge_src(e),
                                 };
                                 if visited.insert(other) {
                                     next.push(other);
@@ -415,7 +419,7 @@ fn var_len_dfs<G: GraphView>(
     used: &mut Vec<EdgeId>,
     first_only: bool,
     done: &mut bool,
-    emit: &mut dyn FnMut(&Row),
+    emit: &mut Emit<'_, G>,
     depth: u32,
 ) -> Result<(), QueryError> {
     if *done && first_only {
@@ -447,9 +451,9 @@ fn var_len_dfs<G: GraphView>(
     if max.is_some_and(|m| depth >= m) {
         return Ok(());
     }
+    let g = ctx.g;
     for dir in dirs {
-        let edges: Vec<EdgeId> = typed_edges(ctx.g, at, *dir, rel);
-        for e in edges {
+        for e in typed_edges(g, at, *dir, rel) {
             if *done && first_only {
                 return Ok(());
             }
@@ -457,12 +461,12 @@ fn var_len_dfs<G: GraphView>(
             if used.contains(&e) {
                 continue;
             }
-            if !edge_props_match(ctx.g, e, rel) {
+            if !edge_props_match(g, e, rel) {
                 continue;
             }
             let other = match dir {
-                Direction::Outgoing => ctx.g.edge_dst(e),
-                Direction::Incoming => ctx.g.edge_src(e),
+                Direction::Outgoing => g.edge_dst(e),
+                Direction::Incoming => g.edge_src(e),
             };
             if ctx.stats.enabled {
                 ctx.stats.var_len_expansions += 1;
@@ -491,16 +495,21 @@ fn var_len_dfs<G: GraphView>(
     Ok(())
 }
 
-/// Edges of `n` in `dir` restricted to the rel's type set.
-fn typed_edges<G: GraphView>(g: &G, n: NodeId, dir: Direction, rel: &BoundRel) -> Vec<EdgeId> {
-    match rel.types.as_slice() {
-        [] => g.edges_dir(n, dir, None).collect(),
-        [single] => g.edges_dir(n, dir, Some(*single)).collect(),
-        many => g
-            .edges_dir(n, dir, None)
-            .filter(|e| many.contains(&g.edge_type(*e)))
-            .collect(),
-    }
+/// Edges of `n` in `dir` restricted to the rel's type set, in adjacency
+/// order. A single type is filtered by the store; a type alternation
+/// (`:a|b`) is filtered here.
+fn typed_edges<'a, G: GraphView>(
+    g: &'a G,
+    n: NodeId,
+    dir: Direction,
+    rel: &'a BoundRel,
+) -> impl Iterator<Item = EdgeId> + 'a {
+    let (single, many) = match rel.types.as_slice() {
+        [single] => (Some(*single), &[][..]),
+        many => (None, many),
+    };
+    g.edges_dir(n, dir, single)
+        .filter(move |e| many.is_empty() || many.contains(&g.edge_type(*e)))
 }
 
 fn edge_props_match<G: GraphView>(g: &G, e: EdgeId, rel: &BoundRel) -> bool {

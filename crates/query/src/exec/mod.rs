@@ -1,11 +1,27 @@
 //! Query executor: interprets a bound query ([`crate::binder::BoundQuery`])
 //! under a cached plan ([`crate::plan::Plan`]).
 //!
-//! Queries run as a materialized pipeline: `START` produces the initial
-//! binding rows, each `MATCH` expands them by pattern matching, `WHERE`
-//! filters, `WITH` projects (and may aggregate), `RETURN` produces the
-//! final result table. Variables were resolved to row slots by the binder,
-//! so the hot loops never touch variable names.
+//! Queries run as a push pipeline inside one thread. `START` produces the
+//! initial binding rows. The stages after it run as *segments*: a `MATCH`,
+//! the `WHERE` stages that follow it, and the `WITH` or `RETURN` that ends
+//! them. The matcher hands each match straight down its segment (through
+//! the filters, into the projection's `push`), so path rows are never
+//! collected; a projection's `finish` yields the segment's output table.
+//! Rows are materialized only between segments: as a projection's output,
+//! or as the input of a `MATCH` that directly follows another `MATCH`.
+//! Variables were resolved to row slots by the binder, so the hot loops
+//! never touch variable names.
+//!
+//! Fusing changes when rows are produced, not which rows, their order, or
+//! the `steps` they cost: every tick happens at the same place, only
+//! interleaved. `EXPLAIN ANALYZE` keeps one operator per stage with the
+//! same `rows_out`. Time is reported per segment: the segment's first
+//! operator (its `Expand`, when it has one) carries the wall time of the
+//! whole streaming pass, which includes the filters and the projection
+//! pushes downstream of it; those filters report no time of their own,
+//! and a projection reports only its `finish` (sort, `SKIP` / `LIMIT`,
+//! group finalization). An `Expand`'s `steps` and expansion counters stay
+//! its own: pattern predicates evaluated downstream are kept out of them.
 //!
 //! The module is split by pipeline role:
 //!
@@ -49,13 +65,14 @@ mod sink;
 mod tests;
 
 use crate::ast::{ExplainMode, Query};
-use crate::binder::BoundStage;
+use crate::binder::{BoundExpr, BoundProjection, BoundStage};
 use crate::error::QueryError;
 use crate::plan::{AnchorSel, PlanCache, PlanCacheStats, PlanSummary, PlannedAnchor};
 use crate::profile::{OpProfile, QueryProfile};
 use crate::value::Value;
 use frappe_model::{NodeId, PropKey, PropValue};
 use frappe_store::GraphView;
+use sink::Projector;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -367,111 +384,148 @@ impl Engine {
             }
         }
 
+        // The stages run as fused segments; rows are materialized only
+        // between segments (see the module docs).
+        let stages = &bound.stages;
         let mut next_anchor = 0usize;
-        for stage in &bound.stages {
-            match stage {
-                BoundStage::Expand(p) => {
-                    let t0 = prof.is_some().then(Instant::now);
-                    let steps_before = ctx.budget.steps;
-                    ctx.stats.reset_pattern();
-                    let anchor = plan.anchors.get(next_anchor).copied().unwrap_or(
-                        // Unreachable in practice (plans mirror stage
-                        // structure); scanning everything stays correct.
-                        PlannedAnchor {
-                            index: 0,
-                            sel: AnchorSel::AllNodes,
-                        },
-                    );
-                    next_anchor += 1;
-                    rows = expand::expand_pattern(&mut ctx, rows, p, anchor)?;
-                    if let Some(ops) = prof.as_deref_mut() {
-                        let mut extras = vec![
-                            ("candidates", ctx.stats.candidates),
-                            ("steps", ctx.budget.steps - steps_before),
-                        ];
-                        if p.rels.iter().any(|r| r.var_len.is_some()) {
-                            extras.push(("var_len_expansions", ctx.stats.var_len_expansions));
-                            extras.push(("var_len_max_depth", ctx.stats.var_len_max_depth as u64));
-                            extras.push(("var_len_max_frontier", ctx.stats.var_len_max_frontier));
-                        }
-                        ops.push(OpProfile {
-                            name: "Expand",
-                            detail: format!(
-                                "({} nodes, {} rels) via {}",
-                                p.nodes.len(),
-                                p.rels.len(),
-                                ctx.stats.last_anchor.unwrap_or("unknown anchor"),
-                            ),
-                            rows_out: rows.len() as u64,
-                            time_ns: t0.map_or(0, elapsed_ns),
-                            extras,
-                        });
-                    }
+        let mut i = 0usize;
+        loop {
+            let head = match stages.get(i) {
+                Some(BoundStage::Expand(p)) => {
+                    i += 1;
+                    Some(p)
                 }
-                BoundStage::Filter(e) => {
-                    let t0 = prof.is_some().then(Instant::now);
-                    let rows_in = rows.len() as u64;
-                    let mut kept = Vec::new();
-                    for row in rows {
-                        if filter::eval_truthy(&mut ctx, &row, e)? {
-                            kept.push(row);
-                        }
-                    }
-                    rows = kept;
-                    if let Some(ops) = prof.as_deref_mut() {
-                        ops.push(OpProfile {
-                            name: "Filter",
-                            detail: String::new(),
-                            rows_out: rows.len() as u64,
-                            time_ns: t0.map_or(0, elapsed_ns),
-                            extras: vec![("rows_in", rows_in)],
-                        });
-                    }
+                _ => None,
+            };
+            let mut filters = Vec::new();
+            while let Some(BoundStage::Filter(e)) = stages.get(i) {
+                filters.push((e, 0));
+                i += 1;
+            }
+            let end = match stages.get(i) {
+                Some(BoundStage::Project(proj)) => {
+                    i += 1;
+                    End::Project { proj, last: false }
                 }
-                BoundStage::Project(proj) => {
-                    let t0 = prof.is_some().then(Instant::now);
-                    rows = sink::apply(&mut ctx, rows, proj)?;
-                    if let Some(ops) = prof.as_deref_mut() {
-                        ops.push(OpProfile {
-                            name: "Project",
-                            detail: format!(
-                                "{}[{}]",
-                                if proj.distinct { "distinct " } else { "" },
-                                proj.items
-                                    .iter()
-                                    .map(|i| i.name.as_str())
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            ),
-                            rows_out: rows.len() as u64,
-                            time_ns: t0.map_or(0, elapsed_ns),
-                            extras: Vec::new(),
-                        });
+                // The next stage is another MATCH.
+                Some(_) => End::Collect,
+                None => End::Project {
+                    proj: &bound.ret,
+                    last: true,
+                },
+            };
+            let mut chain = Chain {
+                pushed: 0,
+                filters,
+                tail: match end {
+                    End::Project { proj, .. } => Tail::Project(Projector::new(proj)),
+                    End::Collect => Tail::Collect(Vec::new()),
+                },
+            };
+
+            let t0 = prof.is_some().then(Instant::now);
+            let mut expand_steps = 0;
+            if let Some(p) = head {
+                let steps_before = ctx.budget.steps;
+                ctx.stats.reset_pattern();
+                let anchor = plan.anchors.get(next_anchor).copied().unwrap_or(
+                    // Unreachable in practice (plans mirror stage
+                    // structure); scanning everything stays correct.
+                    PlannedAnchor {
+                        index: 0,
+                        sel: AnchorSel::AllNodes,
+                    },
+                );
+                next_anchor += 1;
+                let mut downstream_steps = 0;
+                expand::expand_pattern(&mut ctx, &rows, p, anchor, &mut |ctx, row| {
+                    if !ctx.stats.enabled {
+                        return chain.push(ctx, row);
                     }
+                    // Pattern predicates downstream run the matcher too;
+                    // keep them out of this Expand's statistics, as when
+                    // they ran after it.
+                    let (stats, steps) = (ctx.stats, ctx.budget.steps);
+                    let pushed = chain.push(ctx, row);
+                    downstream_steps += ctx.budget.steps - steps;
+                    ctx.stats = stats;
+                    pushed
+                })?;
+                expand_steps = ctx.budget.steps - steps_before - downstream_steps;
+            } else {
+                for row in &rows {
+                    chain.push(&mut ctx, row)?;
                 }
             }
-        }
-
-        // RETURN: the same projection machinery as WITH.
-        let ret_t0 = prof.is_some().then(Instant::now);
-        rows = sink::apply(&mut ctx, rows, &bound.ret)?;
-        if let Some(ops) = prof.as_deref_mut() {
-            let detail = if bound.ret.aggregated {
-                format!("{} items (grouped aggregate)", bound.ret.items.len())
-            } else {
-                format!(
-                    "{}{} items",
-                    if bound.ret.distinct { "distinct " } else { "" },
-                    bound.ret.items.len()
-                )
+            let drive_ns = t0.map_or(0, elapsed_ns);
+            let t1 = prof.is_some().then(Instant::now);
+            rows = match chain.tail {
+                Tail::Project(p) => p.finish(),
+                Tail::Collect(rows) => rows,
             };
-            ops.push(OpProfile {
-                name: "Return",
-                detail,
-                rows_out: rows.len() as u64,
-                time_ns: ret_t0.map_or(0, elapsed_ns),
-                extras: Vec::new(),
-            });
+            let finish_ns = t1.map_or(0, elapsed_ns);
+
+            if let Some(ops) = prof.as_deref_mut() {
+                let first = ops.len();
+                if let Some(p) = head {
+                    let mut extras = vec![
+                        ("candidates", ctx.stats.candidates),
+                        ("steps", expand_steps),
+                    ];
+                    if p.rels.iter().any(|r| r.var_len.is_some()) {
+                        extras.push(("var_len_expansions", ctx.stats.var_len_expansions));
+                        extras.push(("var_len_max_depth", ctx.stats.var_len_max_depth as u64));
+                        extras.push(("var_len_max_frontier", ctx.stats.var_len_max_frontier));
+                    }
+                    ops.push(OpProfile {
+                        name: "Expand",
+                        detail: format!(
+                            "({} nodes, {} rels) via {}",
+                            p.nodes.len(),
+                            p.rels.len(),
+                            ctx.stats.last_anchor.unwrap_or("unknown anchor"),
+                        ),
+                        rows_out: chain.pushed,
+                        time_ns: 0,
+                        extras,
+                    });
+                }
+                let mut rows_in = chain.pushed;
+                for &(_, passed) in &chain.filters {
+                    ops.push(OpProfile {
+                        name: "Filter",
+                        detail: String::new(),
+                        rows_out: passed,
+                        time_ns: 0,
+                        extras: vec![("rows_in", rows_in)],
+                    });
+                    rows_in = passed;
+                }
+                if let End::Project { proj, last } = end {
+                    let distinct = if proj.distinct { "distinct " } else { "" };
+                    let (name, detail) = if !last {
+                        let items: Vec<&str> = proj.items.iter().map(|i| i.name.as_str()).collect();
+                        ("Project", format!("{distinct}[{}]", items.join(", ")))
+                    } else if proj.aggregated {
+                        let n = proj.items.len();
+                        ("Return", format!("{n} items (grouped aggregate)"))
+                    } else {
+                        ("Return", format!("{distinct}{} items", proj.items.len()))
+                    };
+                    ops.push(OpProfile {
+                        name,
+                        detail,
+                        rows_out: rows.len() as u64,
+                        time_ns: finish_ns,
+                        extras: Vec::new(),
+                    });
+                }
+                // The segment's first operator drove it.
+                ops[first].time_ns += drive_ns;
+            }
+            if let End::Project { last: true, .. } = end {
+                break;
+            }
         }
         Ok((
             ResultSet {
@@ -610,6 +664,57 @@ pub(crate) fn is_name_key(k: PropKey) -> bool {
 }
 
 // ----------------------------------------------------------------------
+// Segments
+// ----------------------------------------------------------------------
+
+/// What ends a segment.
+#[derive(Clone, Copy)]
+enum End<'q> {
+    /// A `WITH` projection, or with `last` set, the final `RETURN`.
+    Project {
+        proj: &'q BoundProjection,
+        last: bool,
+    },
+    /// No projection before the next `MATCH`: the rows are collected as
+    /// that `MATCH`'s input.
+    Collect,
+}
+
+/// The consumer side of a segment: its `WHERE` stages, then the
+/// projection (or collector) that ends it.
+struct Chain<'q> {
+    /// Rows pushed in: the driving `Expand`'s output count.
+    pushed: u64,
+    /// Each `WHERE` with the number of rows it passed.
+    filters: Vec<(&'q BoundExpr, u64)>,
+    tail: Tail<'q>,
+}
+
+enum Tail<'q> {
+    Project(Projector<'q>),
+    Collect(Vec<Row>),
+}
+
+impl Chain<'_> {
+    fn push<G: GraphView>(&mut self, ctx: &mut Ctx<'_, G>, row: &Row) -> Result<(), QueryError> {
+        self.pushed += 1;
+        for (e, passed) in &mut self.filters {
+            if !filter::eval_truthy(ctx, row, e)? {
+                return Ok(());
+            }
+            *passed += 1;
+        }
+        match &mut self.tail {
+            Tail::Project(p) => p.push(ctx, row),
+            Tail::Collect(rows) => {
+                rows.push(row.clone());
+                Ok(())
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Budget
 // ----------------------------------------------------------------------
 
@@ -656,7 +761,7 @@ fn elapsed_ns(start: Instant) -> u64 {
 /// Per-pattern execution statistics for [`Engine::profile`]. Collection is
 /// opt-in (`enabled`); when off every sampling site is a single branch on a
 /// plain bool, so unprofiled runs are unperturbed.
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 pub(crate) struct ExecStats {
     pub(crate) enabled: bool,
     /// Anchor candidate nodes considered for the current pattern.

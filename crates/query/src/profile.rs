@@ -18,7 +18,11 @@ pub struct OpProfile {
     pub detail: String,
     /// Rows in the binding table after this operator ran.
     pub rows_out: u64,
-    /// Wall time spent in this operator, in nanoseconds.
+    /// Wall time spent in this operator, in nanoseconds. Operators fused
+    /// into one streaming segment share a clock: the segment's first
+    /// operator (its `Expand`) carries the whole pass, its `Filter`s read
+    /// 0, and a `Project` / `Return` carries only its `finish` (see
+    /// [`crate::exec`]).
     pub time_ns: u64,
     /// Operator-specific statistics, e.g. `("var_len_expansions", 531)`.
     pub extras: Vec<(&'static str, u64)>,

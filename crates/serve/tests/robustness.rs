@@ -187,21 +187,27 @@ fn garbage_queries_get_typed_parse_errors_not_disconnects() {
         writer
             .write_all(b"THIS IS NOT CYPHER\n\x01\x02\x03 binary junk\n")
             .expect("write");
-        for seq in 0..2u64 {
+        // Parsing runs on the workers, so pipelined replies may arrive in
+        // either order: check that both came back, once each.
+        let mut seqs = Vec::new();
+        for _ in 0..2 {
             let reply = read_reply(&mut reader);
             assert!(
                 reply.starts_with("{\"ok\": false"),
                 "core {core:?}: {reply}"
             );
             assert!(
-                reply.contains(&format!("\"seq\": {seq}")),
-                "core {core:?}: {reply}"
-            );
-            assert!(
                 reply.contains("\"code\": \"parse_error\""),
                 "core {core:?}: {reply}"
             );
+            seqs.push(
+                (0..2u64)
+                    .find(|seq| reply.contains(&format!("\"seq\": {seq}")))
+                    .unwrap_or_else(|| panic!("core {core:?}: no seq 0 or 1 in {reply}")),
+            );
         }
+        seqs.sort_unstable();
+        assert_eq!(seqs, [0, 1], "core {core:?}");
         // Connection still works after errors.
         writer
             .write_all(format!("{HOP}\n").as_bytes())

@@ -141,6 +141,7 @@ impl MappedSnapshot {
 
         let nnodes = try_u32(&mut r)? as usize;
         let mut node_offs = Vec::with_capacity(nnodes.min(r.remaining() / 7));
+        let mut node_deleted = Vec::with_capacity(node_offs.capacity());
         let mut live_nodes = 0u32;
         for _ in 0..nnodes {
             if r.remaining() < 7 {
@@ -160,11 +161,12 @@ impl MappedSnapshot {
             if flags & F_EXTRA != 0 {
                 skip_propmap(&mut r)?;
             }
-            if flags & F_DELETED == 0 {
+            let deleted = flags & F_DELETED != 0;
+            node_deleted.push(deleted);
+            if !deleted {
                 live_nodes += 1;
             }
         }
-        let node_deleted = |i: usize| bytes[node_offs[i] as usize + 2] & F_DELETED != 0;
 
         let nedges = try_u32(&mut r)? as usize;
         let mut edge_offs = Vec::with_capacity(nedges.min(r.remaining() / 10));
@@ -193,7 +195,7 @@ impl MappedSnapshot {
                 skip_propmap(&mut r)?;
             }
             if flags & F_DELETED == 0 {
-                if node_deleted(src) || node_deleted(dst) {
+                if node_deleted[src] || node_deleted[dst] {
                     return Err(corrupt("live edge on deleted node"));
                 }
                 live_edges += 1;

@@ -94,7 +94,7 @@ fn off_level_is_unperturbed_on_the_table5_bench_path() {
 /// real epoll server, not a unit mock.
 #[test]
 fn off_level_request_tracing_is_free_on_the_serve_hot_path() {
-    use frappe_serve::{ServeCore, ServeGraph, Server, ServerOptions};
+    use frappe_serve::{ServeGraph, Server, ServerOptions};
     use std::io::{BufRead, BufReader, Write};
 
     let _own = level_lock();
@@ -113,7 +113,6 @@ fn off_level_request_tracing_is_free_on_the_serve_hot_path() {
         "127.0.0.1:0",
         "127.0.0.1:0",
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 2,
             ..Default::default()
         },
@@ -208,7 +207,7 @@ fn off_level_request_tracing_is_free_on_the_serve_hot_path() {
 /// no-sampler run.
 #[test]
 fn sampler_at_default_interval_stays_within_noise_of_no_sampler() {
-    use frappe_serve::{ServeCore, ServeGraph, Server, ServerOptions};
+    use frappe_serve::{ServeGraph, Server, ServerOptions};
     use std::io::{BufRead, BufReader, Write};
 
     let _own = level_lock();
@@ -228,7 +227,6 @@ fn sampler_at_default_interval_stays_within_noise_of_no_sampler() {
             "127.0.0.1:0",
             "127.0.0.1:0",
             ServerOptions {
-                core: ServeCore::Epoll,
                 workers: 2,
                 sample_ms,
                 ..Default::default()

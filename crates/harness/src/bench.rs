@@ -8,6 +8,7 @@
 //! `$FRAPPE_BENCH_DIR/BENCH_<group>.json` (default `target/frappe-bench/`)
 //! for trajectory tracking across commits.
 
+use crate::json::json_escape;
 use std::time::{Duration, Instant};
 
 // Re-export the crate-root macros so bench files can write
@@ -324,19 +325,6 @@ fn report(s: &Stats) {
         s.samples,
         s.iters_per_sample,
     );
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn sanitize_file_component(s: &str) -> String {

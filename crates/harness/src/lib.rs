@@ -14,6 +14,7 @@
 //! | [`bench`] | `criterion` | the `frappe-bench` bench targets |
 //! | [`mmap`] | `memmap2` | `frappe-store` zero-copy snapshot reads |
 //! | [`poll`] | `mio` | `frappe-serve` event-driven connection core |
+//! | [`json`] | `serde_json` (writing) | every hand-rolled JSON writer |
 //!
 //! Everything here is deliberately boring: seeded deterministic PRNG with
 //! golden-value tests, explicit derive-free binary codecs, a shrinking
@@ -21,6 +22,7 @@
 //! with a criterion-compatible-enough API surface.
 
 pub mod bench;
+pub mod json;
 pub mod mmap;
 pub mod poll;
 pub mod proptest_lite;

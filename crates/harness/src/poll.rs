@@ -1,7 +1,7 @@
 //! Readiness polling (`epoll`/`poll`) without external crates.
 //!
-//! The event-driven serve core (`frappe-serve --core epoll`) needs to wait
-//! on thousands of sockets from one thread. std exposes no readiness API,
+//! `frappe-serve`'s event-driven query listener needs to wait on
+//! thousands of sockets from one thread. std exposes no readiness API,
 //! and pulling in `mio` would break the workspace's zero-dependency
 //! guarantee — so, exactly like [`crate::mmap`], this module declares the
 //! handful of raw libc symbols itself (std already links libc on unix) and
@@ -37,8 +37,8 @@
 //!   `wake` writes one byte and treats a full pipe (`EAGAIN`) as success
 //!   because a pending byte already guarantees a wakeup.
 //!
-//! On non-unix platforms [`Poller::new`] returns `Unsupported` and callers
-//! fall back to thread-per-connection serving.
+//! On non-unix platforms [`Poller::new`] returns `Unsupported`, and so does
+//! `frappe-serve`'s `Server::start`: the server needs a unix platform.
 
 #![cfg_attr(not(unix), allow(dead_code, unused_variables))]
 

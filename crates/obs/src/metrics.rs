@@ -12,6 +12,7 @@
 //! `BENCH_*.json` writer): counters as a name→value object, histograms as
 //! name→`{count, sum, min, max, mean}` objects, names sorted.
 
+use frappe_harness::json::json_escape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -324,21 +325,6 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
-}
-
-/// Escapes a string for embedding in JSON (same rules as the harness bench
-/// writer).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-wide metrics registry. Obtain it via [`registry`].

@@ -14,7 +14,8 @@
 //! atomics, so concurrent observers on different connections never
 //! serialize on the update itself.
 
-use crate::metrics::{json_escape, Histogram, HistogramSnapshot};
+use crate::metrics::{Histogram, HistogramSnapshot};
+use frappe_harness::json::json_escape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 

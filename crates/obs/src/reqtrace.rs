@@ -385,7 +385,7 @@ impl ReqTraceLog {
                         ",\n{{\"name\": \"{}\", \"cat\": \"operator\", \"ph\": \"X\", \
                          \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {tid}, \
                          \"args\": {{\"id\": {}}}}}",
-                        crate::metrics::json_escape(name),
+                        frappe_harness::json::json_escape(name),
                         us(t),
                         us(*dur_ns),
                         r.id,

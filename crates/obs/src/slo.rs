@@ -28,8 +28,8 @@
 //! attack pages within a few samples instead of waiting a full window —
 //! and resolution is still hysteresis-gated on the fast window.
 
-use crate::metrics::json_escape;
 use crate::timeseries::{fmt_f64, SeriesStore};
+use frappe_harness::json::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -14,7 +14,7 @@
 //! record sequence numbers are global and monotonic, so a scraper can
 //! detect gaps.
 
-use crate::metrics::json_escape;
+use frappe_harness::json::json_escape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 

@@ -46,11 +46,11 @@
 //! Sampling is **pull-based**: nothing is added to any request hot path.
 //! The only new global is the active-sampler count behind
 //! [`sampler_active`], one relaxed load (asserted by
-//! `crates/bench/tests/obs_overhead.rs`, alongside a live c10k run that
+//! `crates/bench/tests/obs_overhead.rs`, alongside a live-server run that
 //! bounds the enabled sampler's throughput cost).
 
 use crate::clock::Clock;
-use crate::metrics::json_escape;
+use frappe_harness::json::json_escape;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};

@@ -183,7 +183,7 @@ impl Tracer {
             out.push_str(&format!(
                 "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \
                  \"depth\": {}, \"thread\": {}}}",
-                crate::metrics::json_escape(ev.name),
+                frappe_harness::json::json_escape(ev.name),
                 ev.start_ns,
                 ev.dur_ns,
                 ev.depth,

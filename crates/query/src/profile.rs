@@ -8,6 +8,8 @@
 //! ("index lookups are fast, path enumeration explodes") read directly off
 //! one query execution.
 
+use frappe_harness::json::json_escape;
+
 /// One profiled pipeline operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpProfile {
@@ -160,19 +162,6 @@ pub(crate) fn render_json(
         out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

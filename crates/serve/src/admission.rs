@@ -4,8 +4,8 @@
 //! magnitude: one comprehension query can pin a worker for as long as
 //! thousands of point lookups. Without admission control a flood of
 //! expensive queries starves the cheap ones behind it. This module sits
-//! between framing and dispatch in both serve cores and decides, per
-//! line, whether to run, throttle, park, or shed:
+//! between framing and dispatch in the event core and decides, per line,
+//! whether to run, throttle, park, or shed:
 //!
 //! * **Per-connection token bucket** — a connection issuing requests
 //!   faster than `conn_rate` (with `conn_burst` headroom) gets typed
@@ -384,8 +384,7 @@ impl AdmissionControl {
 
     /// Decides the fate of one framed line. Order: master gate, token
     /// bucket, cost tier, global cap. `depth` is the caller's current
-    /// dispatch-queue depth (0 for the threads core, which has none —
-    /// its in-flight count doubles as depth).
+    /// dispatch-queue depth.
     pub fn admit_line(&self, bucket: &mut TokenBucket, text: &str, depth: u64) -> Decision {
         if !self.enabled() {
             return Decision::Admit;
@@ -431,7 +430,7 @@ impl AdmissionControl {
         counter!("serve.admit.shed").incr();
     }
 
-    /// Records one park (epoll core only).
+    /// Records one park.
     pub fn note_parked(&self) {
         self.parked.fetch_add(1, Ordering::Relaxed);
         counter!("serve.admit.parked").incr();

@@ -21,12 +21,9 @@
 //! * `--listen ADDR` — query-protocol bind address (default
 //!   `127.0.0.1:7687`; port `0` for OS-assigned).
 //! * `--metrics ADDR` — exporter bind address (default `127.0.0.1:9187`).
-//! * `--core epoll|threads` — connection core for the query listener
-//!   (default `epoll`: one readiness loop + a worker pool, pipelined
-//!   seq-tagged replies; `threads` is the legacy thread-per-connection
-//!   core kept for A/B benchmarking).
-//! * `--workers N` — query worker threads for the epoll core (default
-//!   `max(2, available_parallelism)`).
+//! * `--workers N` — query worker threads behind the readiness loop
+//!   (default `max(2, available_parallelism)`). Replies are pipelined and
+//!   seq-tagged.
 //! * `--addr-file PATH` — write the two bound addresses (`query=…`,
 //!   `metrics=…` lines) once listening, so scripts can use `:0` ports.
 //! * `--obs LEVEL` — observability level (`off`/`counters`/`trace`,
@@ -66,7 +63,7 @@
 //!   watermark's exponential decay.
 
 use frappe_obs::{SloSpec, Windows};
-use frappe_serve::{AdmissionOptions, ServeCore, ServeGraph, Server, ServerOptions};
+use frappe_serve::{AdmissionOptions, ServeGraph, Server, ServerOptions};
 use frappe_store::{snapshot, MappedGraph};
 use std::process::ExitCode;
 
@@ -80,7 +77,6 @@ struct Args {
     obs: String,
     slowlog_ms: Option<u64>,
     stall_ms: Option<u64>,
-    core: ServeCore,
     workers: usize,
     max_inflight: Option<u64>,
     conn_rate: Option<(u64, u64)>,
@@ -134,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
         obs: "counters".into(),
         slowlog_ms: None,
         stall_ms: None,
-        core: ServeCore::Epoll,
         workers: 0,
         max_inflight: None,
         conn_rate: None,
@@ -168,11 +163,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|_| "--stall-ms needs an integer".to_string())?,
                 )
-            }
-            "--core" => {
-                let v = value("--core")?;
-                args.core = ServeCore::parse(&v)
-                    .ok_or_else(|| format!("--core wants 'epoll' or 'threads', got {v:?}"))?;
             }
             "--workers" => {
                 args.workers = value("--workers")?
@@ -214,7 +204,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err("usage: frappe-serve [--snapshot PATH | --synth SCALE] \
                             [--write-snapshot PATH] [--listen ADDR] [--metrics ADDR] \
                             [--addr-file PATH] [--obs LEVEL] [--slowlog-ms N] \
-                            [--stall-ms N] [--core epoll|threads] [--workers N] \
+                            [--stall-ms N] [--workers N] \
                             [--max-inflight N] [--conn-rate R[:BURST]] \
                             [--shed-p95-ms N] [--queue-watermark N] [--sample-ms N] \
                             [--slo NAME=VALUE]... [--slo-windows F:L:S]"
@@ -290,7 +280,6 @@ fn run() -> Result<(), String> {
     };
 
     let mut options = ServerOptions {
-        core: args.core,
         workers: args.workers,
         admission: args.admission(),
         slos: args.slos.clone(),
@@ -306,12 +295,11 @@ fn run() -> Result<(), String> {
         options.slo_windows = w;
     }
     let server = Server::start(graph, &args.listen, &args.metrics, options)
-        .map_err(|e| format!("binding listeners: {e}"))?;
+        .map_err(|e| format!("starting server: {e}"))?;
     eprintln!(
-        "frappe-serve: queries on {}, metrics on http://{}/metrics (core={:?}, obs={:?})",
+        "frappe-serve: queries on {}, metrics on http://{}/metrics (obs={:?})",
         server.query_addr(),
         server.metrics_addr(),
-        args.core,
         frappe_obs::level()
     );
 

@@ -21,36 +21,31 @@
 //! `/metrics`, and phase breakdowns on slow-query-log entries. At
 //! `ObsLevel::Off` the whole layer is one relaxed load per request.
 //!
-//! Two interchangeable **connection cores** drive the query listener:
+//! One **connection core** drives the query listener: a single readiness
+//! loop (`frappe_harness::poll`, epoll on linux) multiplexing every
+//! connection nonblocking, with a small worker pool executing queries.
+//! The protocol is **pipelined**: a client may send N queries without
+//! waiting; every reply carries a `"seq"` field (per-connection arrival
+//! order, from 0) and replies may return **out of order**, so one slow
+//! comprehension query never head-of-line-blocks a connection's cheap
+//! point lookups. The core needs a unix platform.
 //!
-//! * [`ServeCore::Epoll`] (default) — a single readiness loop
-//!   (`frappe_harness::poll`, epoll on linux) multiplexing every
-//!   connection nonblocking, with a small worker pool executing queries.
-//!   The protocol is **pipelined**: a client may send N queries without
-//!   waiting; every reply carries a `"seq"` field (per-connection arrival
-//!   order, from 0) and replies may return **out of order**, so one slow
-//!   comprehension query never head-of-line-blocks a connection's cheap
-//!   point lookups.
-//! * [`ServeCore::Threads`] — the original thread-per-connection core,
-//!   kept for A/B benchmarking (`--core threads`). Same wire protocol
-//!   (including `"seq"` tags), but replies are always in order.
-//!
-//! Both cores run every framed line through the [`admission`] layer
+//! Every framed line passes through the [`admission`] layer
 //! (per-connection token bucket, global in-flight cap, cost-aware
 //! shedding under load — disabled by default, one relaxed load when
-//! off), frame requests with a hard per-line byte cap (a client that
+//! off). Requests are framed with a hard per-line byte cap (a client that
 //! streams an unbounded line gets a typed `"code": "line_too_long"` error
-//! and the rest of the line is discarded), and both answer the `!shutdown`
-//! admin line — the event core drains every in-flight query and flushes
-//! all replies before acknowledging and closing. The HTTP exporter stays
-//! thread-per-connection on both cores: scrapes are rare, large, and
-//! latency-insensitive.
+//! and the rest of the line is discarded), and the `!shutdown` admin line
+//! drains every in-flight query and flushes all replies before
+//! acknowledging and closing. The HTTP exporter is thread-per-connection:
+//! scrapes are rare, large, and latency-insensitive.
 
+use frappe_harness::json::json_escape;
 use frappe_obs::timeseries::{Sampler, SamplerConfig, SamplerThread, SeriesStore};
 use frappe_obs::{SloEngine, SloSpec, Windows};
 use frappe_query::{Engine, Query, ResultSet};
 use frappe_store::{GraphStore, GraphView, MappedGraph};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,8 +63,8 @@ pub use frappe_obs::Clock;
 #[cfg(unix)]
 mod event_loop;
 
-/// Non-unix stub: no readiness syscalls, so [`Server::start`] falls back
-/// to the thread core.
+/// Non-unix stub: no readiness syscalls, so [`Server::start`] fails with
+/// `Unsupported`.
 #[cfg(not(unix))]
 mod event_loop {
     pub(crate) fn spawn(
@@ -117,28 +112,6 @@ impl ServeGraph {
     }
 }
 
-/// Which connection core drives the query listener.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeCore {
-    /// Readiness-loop core: one event thread + a query worker pool,
-    /// pipelined out-of-order replies. The default.
-    Epoll,
-    /// Thread-per-connection core: one blocking handler thread per client,
-    /// in-order replies. Kept for A/B benchmarking.
-    Threads,
-}
-
-impl ServeCore {
-    /// Parses a `--core` flag value.
-    pub fn parse(s: &str) -> Option<ServeCore> {
-        match s {
-            "epoll" | "event" | "poll" => Some(ServeCore::Epoll),
-            "threads" | "thread" => Some(ServeCore::Threads),
-            _ => None,
-        }
-    }
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -146,12 +119,10 @@ pub struct ServerOptions {
     /// and the response flagged `"truncated": true` (statistics still see
     /// the full row count).
     pub max_response_rows: usize,
-    /// Idle budget per connection: the thread core arms it as the socket
-    /// read timeout, the event core closes connections with no traffic
-    /// and no in-flight queries for this long.
+    /// Idle budget per connection: the event core closes query
+    /// connections with no traffic and no in-flight queries for this long;
+    /// the HTTP exporter arms it as the socket read timeout.
     pub read_timeout: Duration,
-    /// Connection core for the query listener.
-    pub core: ServeCore,
     /// Hard per-request line cap. Longer lines earn a typed
     /// `"code": "line_too_long"` error reply; the oversized remainder is
     /// discarded up to the next newline.
@@ -199,7 +170,6 @@ impl Default for ServerOptions {
         ServerOptions {
             max_response_rows: 1_000,
             read_timeout: Duration::from_secs(30),
-            core: ServeCore::Epoll,
             max_line_bytes: 256 * 1024,
             max_pipeline: 128,
             workers: 0,
@@ -342,7 +312,9 @@ const _: fn() = || {
 
 impl Server {
     /// Binds the query and metrics listeners (use port `0` for an
-    /// OS-assigned port) and starts the configured connection core.
+    /// OS-assigned port) and starts the event core. Fails with the event
+    /// core's own error when it cannot start (no readiness syscalls on
+    /// this platform, fd exhaustion at setup).
     pub fn start(
         graph: ServeGraph,
         query_addr: &str,
@@ -351,7 +323,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let query_listener = TcpListener::bind(query_addr)?;
         let metrics_listener = TcpListener::bind(metrics_addr)?;
-        let core = options.core;
         let admission = AdmissionControl::new(options.admission.clone(), options.clock.clone());
 
         // Telemetry: the SLO engine always exists (so `/alerts` has a
@@ -429,42 +400,19 @@ impl Server {
             ));
             Arc::new(s)
         });
+        let mut accept_threads = vec![event_loop::spawn(Arc::clone(&inner), query_listener)?];
+        {
+            let inner = Arc::clone(&inner);
+            accept_threads.push(std::thread::spawn(move || {
+                accept_loop(&inner, metrics_listener);
+            }));
+        }
         // Virtual clocks never self-advance — a background thread would
         // spin sampling the same instant. Tests drive `tick()` by hand.
         let sampler_thread = sampler
             .as_ref()
             .filter(|s| !s.clock().is_virtual())
             .map(|s| s.spawn());
-
-        let mut accept_threads = Vec::new();
-        match core {
-            ServeCore::Epoll => match event_loop::spawn(Arc::clone(&inner), query_listener) {
-                Ok(handle) => accept_threads.push(handle),
-                Err(e) => {
-                    // No readiness syscalls on this platform (or fd
-                    // exhaustion at setup): degrade to the thread core
-                    // rather than refusing to serve.
-                    eprintln!("frappe-serve: event core unavailable ({e}); using --core threads");
-                    let listener = TcpListener::bind(inner.query_addr)?;
-                    let inner = Arc::clone(&inner);
-                    accept_threads.push(std::thread::spawn(move || {
-                        accept_loop(&inner, listener, handle_query_conn);
-                    }));
-                }
-            },
-            ServeCore::Threads => {
-                let inner = Arc::clone(&inner);
-                accept_threads.push(std::thread::spawn(move || {
-                    accept_loop(&inner, query_listener, handle_query_conn);
-                }));
-            }
-        }
-        {
-            let inner = Arc::clone(&inner);
-            accept_threads.push(std::thread::spawn(move || {
-                accept_loop(&inner, metrics_listener, handle_http_conn);
-            }));
-        }
 
         Ok(Server {
             inner,
@@ -536,7 +484,8 @@ impl Server {
     }
 }
 
-fn accept_loop(inner: &Arc<Inner>, listener: TcpListener, handler: fn(&Inner, TcpStream)) {
+/// The HTTP exporter's accept loop: one handler thread per scrape.
+fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
     loop {
         let conn = listener.accept();
         if inner.stop.load(Ordering::SeqCst) {
@@ -545,33 +494,19 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener, handler: fn(&Inner, Tc
         match conn {
             Ok((stream, _)) => {
                 let _ = stream.set_read_timeout(Some(inner.options.read_timeout));
-                // Parity with the event core: per-line replies must not sit
-                // behind Nagle waiting for the client's delayed ACK.
+                // Replies must not sit behind Nagle waiting for the
+                // client's delayed ACK.
                 let _ = stream.set_nodelay(true);
                 let inner = Arc::clone(inner);
-                std::thread::spawn(move || handler(&inner, stream));
+                std::thread::spawn(move || handle_http_conn(&inner, stream));
             }
             Err(_) => return,
         }
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The exact `!shutdown` acknowledgement line (stable for scripted
-/// clients; deliberately carries no `seq` on either core).
+/// clients; deliberately carries no `seq`).
 pub const SHUTDOWN_ACK: &str = "{\"ok\": true, \"shutdown\": true}";
 
 fn seq_field(seq: Option<u64>) -> String {
@@ -727,209 +662,6 @@ pub fn answer_query_line_tagged(
     seq: u64,
 ) -> String {
     render_reply(graph, engine, options, text, Some(seq))
-}
-
-/// Outcome of one capped line read.
-enum LineRead {
-    /// A complete line (without its terminator) is in the buffer.
-    Line,
-    /// The line blew the cap; everything up to and including the next
-    /// newline was discarded.
-    TooLong,
-    /// Clean end of stream (a partial trailing line is dropped — the
-    /// mid-query-disconnect case).
-    Eof,
-}
-
-/// Reads one `\n`-terminated line into `buf` (cleared first), refusing to
-/// buffer more than `cap` bytes: oversized lines are consumed and
-/// discarded through their newline and reported as [`LineRead::TooLong`].
-/// IO errors (including read timeouts) propagate.
-fn read_line_capped(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> std::io::Result<LineRead> {
-    buf.clear();
-    let mut discarding = false;
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            if !buf.is_empty() || discarding {
-                frappe_obs::counter!("serve.disconnects.mid_line").incr();
-            }
-            return Ok(LineRead::Eof);
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        match newline {
-            Some(pos) => {
-                let over = discarding || buf.len() + pos > cap;
-                if !over {
-                    buf.extend_from_slice(&available[..pos]);
-                }
-                reader.consume(pos + 1);
-                return Ok(if over {
-                    LineRead::TooLong
-                } else {
-                    LineRead::Line
-                });
-            }
-            None => {
-                let n = available.len();
-                if !discarding {
-                    if buf.len() + n > cap {
-                        discarding = true;
-                        buf.clear();
-                    } else {
-                        buf.extend_from_slice(available);
-                    }
-                }
-                reader.consume(n);
-            }
-        }
-    }
-}
-
-/// The thread-per-connection query handler: blocking capped line reads,
-/// in-order seq-tagged replies. Request tracing has A/B parity with the
-/// event core: the same phase spans commit to the same ring, except that
-/// `recv` and `queue` don't exist here (the blocking read *is* the
-/// request boundary and there is no dispatch queue).
-fn handle_query_conn(inner: &Inner, stream: TcpStream) {
-    use frappe_obs::reqtrace::ReqPhase;
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    inner.conn_opened();
-    // Thread-core connection ids live above the event core's token space
-    // so `/trace` tracks never collide across cores.
-    let conn_id = {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        (1 << 40) | NEXT.fetch_add(1, Ordering::Relaxed)
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut buf = Vec::new();
-    let mut seq: u64 = 0;
-    let mut bucket = inner.admission.new_bucket();
-    loop {
-        let read = match read_line_capped(&mut reader, &mut buf, inner.options.max_line_bytes) {
-            Ok(r) => r,
-            Err(_) => break, // includes the idle read timeout
-        };
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let (reply, mut trace) = match read {
-            LineRead::Eof => break,
-            LineRead::TooLong => {
-                frappe_obs::counter!("serve.lines.too_long").incr();
-                let r = line_too_long_reply(Some(seq), inner.options.max_line_bytes);
-                seq += 1;
-                (r, None)
-            }
-            LineRead::Line => {
-                let text = String::from_utf8_lossy(&buf);
-                let text = text.trim();
-                if text.is_empty() {
-                    continue;
-                }
-                if text == "!shutdown" {
-                    let _ = writeln!(writer, "{SHUTDOWN_ACK}");
-                    inner.request_stop();
-                    break;
-                }
-                // Admission: the blocking core has no dispatch queue, so
-                // its in-flight count doubles as the depth signal, and
-                // `Park` degrades to a shed — there is no low-priority
-                // queue to park into.
-                let decision = if inner.admission.enabled() {
-                    let depth = inner.admission.inflight();
-                    inner.admission.admit_line(&mut bucket, text, depth)
-                } else {
-                    Decision::Admit
-                };
-                match decision {
-                    Decision::Throttle { retry_after_ms } => {
-                        let r = throttled_reply(Some(seq), retry_after_ms);
-                        seq += 1;
-                        (r, None)
-                    }
-                    Decision::Shed { retry_after_ms } | Decision::Park { retry_after_ms } => {
-                        if matches!(decision, Decision::Park { .. }) {
-                            inner.admission.note_shed();
-                        }
-                        let r = shed_reply(Some(seq), inner.admission.state(), retry_after_ms);
-                        seq += 1;
-                        (r, None)
-                    }
-                    Decision::Admit => {
-                        let mut trace = frappe_obs::reqtrace().begin(conn_id, seq);
-                        let r = if let Some(ms) = parse_sleep(text) {
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.enter(ReqPhase::Exec);
-                            }
-                            std::thread::sleep(Duration::from_millis(ms));
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.exit(ReqPhase::Exec);
-                            }
-                            if inner.admission.enabled() {
-                                // Feed the cost tier: sleeps share one
-                                // canonical fingerprint so duration
-                                // changes don't dodge classification.
-                                frappe_obs::query_stats().observe(
-                                    admission::cost_fingerprint(text),
-                                    "!sleep ?",
-                                    ms * 1_000_000,
-                                    0,
-                                    false,
-                                );
-                            }
-                            sleep_reply(Some(seq), ms)
-                        } else {
-                            frappe_obs::counter!("serve.queries.dispatched").incr();
-                            if let Some(mut t) = trace.take() {
-                                t.enter(ReqPhase::Exec);
-                                frappe_obs::reqtrace::enter_current(t);
-                            }
-                            let r = render_reply(
-                                &inner.graph,
-                                &inner.engine,
-                                &inner.options,
-                                text,
-                                Some(seq),
-                            );
-                            trace = frappe_obs::reqtrace::take_current().map(|mut t| {
-                                t.exit(ReqPhase::Exec); // still open on parse errors
-                                t.exit(ReqPhase::Ser);
-                                t
-                            });
-                            r
-                        };
-                        if inner.admission.enabled() {
-                            inner.admission.job_finished();
-                        }
-                        seq += 1;
-                        (r, trace)
-                    }
-                }
-            }
-        };
-        if let Some(t) = trace.as_deref_mut() {
-            t.enter(ReqPhase::Write);
-        }
-        let write_ok = writeln!(writer, "{reply}").is_ok();
-        if let Some(mut t) = trace {
-            if !write_ok {
-                t.abort();
-            }
-            frappe_obs::reqtrace().commit(t); // closes the write span
-        }
-        if !write_ok {
-            break;
-        }
-    }
-    inner.conn_closed();
 }
 
 /// Renders one HTTP/1.1 response with `Connection: close`.
@@ -1188,63 +920,6 @@ mod tests {
         assert!(out.contains("\"rows\": 10"), "{out}");
         assert!(out.contains("\"truncated\": true"), "{out}");
         assert_eq!(out.matches('[').count(), 2 + 3, "columns + 3 rows: {out}");
-    }
-
-    #[test]
-    fn read_line_capped_frames_and_caps() {
-        use std::io::Cursor;
-        let mut buf = Vec::new();
-
-        // Plain lines frame normally (CR handled by callers' trim).
-        let mut r = BufReader::new(Cursor::new(b"alpha\nbeta\n".to_vec()));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(buf, b"alpha");
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(buf, b"beta");
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Eof
-        ));
-
-        // An oversized line is consumed through its newline and the next
-        // line still parses — with a tiny BufReader to force refills.
-        let mut data = vec![b'x'; 300];
-        data.push(b'\n');
-        data.extend_from_slice(b"after\n");
-        let mut r = BufReader::with_capacity(16, Cursor::new(data));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::TooLong
-        ));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(buf, b"after");
-
-        // Exactly at the cap is fine; one over is not.
-        let mut r = BufReader::new(Cursor::new(b"12345\n123456\n".to_vec()));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 5).unwrap(),
-            LineRead::Line
-        ));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 5).unwrap(),
-            LineRead::TooLong
-        ));
-
-        // A partial trailing line (mid-query disconnect) is a clean EOF.
-        let mut r = BufReader::new(Cursor::new(b"no newline".to_vec()));
-        assert!(matches!(
-            read_line_capped(&mut r, &mut buf, 64).unwrap(),
-            LineRead::Eof
-        ));
     }
 
     #[test]

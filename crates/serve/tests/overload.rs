@@ -1,17 +1,16 @@
-//! Overload and fault-injection battery for the admission-control layer,
-//! on both connection cores: an expensive-fingerprint flood must be shed
-//! with typed replies while point lookups keep flowing, the global
-//! in-flight cap must hold under connection churn, parked-job owners may
-//! die without wedging the server, the state machine must recover to
-//! `Open` once load drains, and a disabled controller must cost nothing
-//! measurable on the hot path.
+//! Overload and fault-injection battery for the admission-control layer:
+//! an expensive-fingerprint flood must be shed with typed replies while
+//! point lookups keep flowing, the global in-flight cap must hold under
+//! connection churn, parked-job owners may die without wedging the
+//! server, the state machine must recover to `Open` once load drains, and
+//! a disabled controller must cost nothing measurable on the hot path.
 //!
 //! The cost tier keys off per-fingerprint p95 latencies, which only exist
 //! at `ObsLevel::Counters` — tests that use `--shed-p95-ms` semantics arm
 //! counters (and reset the stats registry) under the obs lock.
 
 use frappe_model::{EdgeType, NodeType};
-use frappe_serve::{AdmissionOptions, ServeCore, ServeGraph, Server, ServerOptions};
+use frappe_serve::{AdmissionOptions, ServeGraph, Server, ServerOptions};
 use frappe_store::GraphStore;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -37,13 +36,12 @@ fn call_graph() -> ServeGraph {
 const HOP: &str = "START n=node:node_auto_index('short_name: main') \
                    MATCH n -[:calls]-> m RETURN m.short_name";
 
-fn start(core: ServeCore, workers: usize, admission: AdmissionOptions) -> Server {
+fn start(workers: usize, admission: AdmissionOptions) -> Server {
     Server::start(
         call_graph(),
         "127.0.0.1:0",
         "127.0.0.1:0",
         ServerOptions {
-            core,
             workers,
             admission,
             ..Default::default()
@@ -155,7 +153,7 @@ fn epoll_flood_is_shed_while_point_lookups_flow() {
     let _g = obs_lock();
     frappe_obs::set_level(frappe_obs::ObsLevel::Counters);
     frappe_obs::query_stats().reset();
-    let server = start(ServeCore::Epoll, 2, cost_tier());
+    let server = start(2, cost_tier());
     prime_sleep_stats(&server, 60);
 
     // Flood: 16 pipelined 300ms sleeps on one connection. Parsed in one
@@ -233,65 +231,9 @@ fn epoll_flood_is_shed_while_point_lookups_flow() {
 }
 
 #[test]
-fn threads_core_flood_is_shed_and_recovers() {
+fn inflight_cap_is_honored_under_connection_churn() {
     let _g = obs_lock();
-    frappe_obs::set_level(frappe_obs::ObsLevel::Counters);
-    frappe_obs::query_stats().reset();
-    let server = start(ServeCore::Threads, 0, cost_tier());
-    prime_sleep_stats(&server, 60);
-
-    // Four connections each pipeline four 300ms sleeps, staggered so
-    // their in-flight windows overlap: the threads core samples its
-    // admission in-flight count as depth, trips the watermark, and parks
-    // degrade to typed sheds (no parking queue on this core).
-    let handles: Vec<_> = (0..4)
-        .map(|i| {
-            let addr = server.query_addr();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(25 * i));
-                let stream = TcpStream::connect(addr).expect("connect flood");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(30)))
-                    .unwrap();
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = stream;
-                writer
-                    .write_all(b"!sleep 300\n!sleep 300\n!sleep 300\n!sleep 300\n")
-                    .expect("write flood");
-                let mut out = Vec::new();
-                for _ in 0..4 {
-                    let mut reply = String::new();
-                    reader.read_line(&mut reply).expect("read flood reply");
-                    assert!(!reply.is_empty(), "flood connection closed early");
-                    out.push(reply.trim_end().to_owned());
-                }
-                out
-            })
-        })
-        .collect();
-    let replies: Vec<String> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("flood thread"))
-        .collect();
-    assert_eq!(replies.len(), 16);
-    assert_typed_shed_or_ok(&replies);
-    let shed = count_shed(&replies);
-    assert!(shed >= 2, "overlapping floods were shed, got {shed}/16");
-    assert!(shed < 16, "the first line was admitted");
-    assert_eq!(server.admission().shed_total() as usize, shed);
-
-    wait_until("recovery to Open", Duration::from_secs(10), || {
-        http_get(&server, "/healthz").contains("\"state\": \"open\"")
-    });
-    assert_eq!(server.admission().inflight(), 0, "all slots released");
-    server.shutdown();
-    frappe_obs::set_level(frappe_obs::ObsLevel::Off);
-    frappe_obs::query_stats().reset();
-}
-
-fn churn_with_inflight_cap(core: ServeCore) {
     let server = start(
-        core,
         4,
         AdmissionOptions {
             enabled: true,
@@ -335,7 +277,7 @@ fn churn_with_inflight_cap(core: ServeCore) {
     let admission = server.admission();
     assert!(
         admission.peak_inflight() <= 2,
-        "cap of 2 never exceeded on {core:?}, peak {}",
+        "cap of 2 never exceeded, peak {}",
         admission.peak_inflight()
     );
     assert!(admission.admitted_total() >= 1, "some lines were admitted");
@@ -351,19 +293,12 @@ fn churn_with_inflight_cap(core: ServeCore) {
 }
 
 #[test]
-fn inflight_cap_is_honored_under_connection_churn() {
-    let _g = obs_lock();
-    churn_with_inflight_cap(ServeCore::Epoll);
-    churn_with_inflight_cap(ServeCore::Threads);
-}
-
-#[test]
 fn parked_job_owner_can_die_without_wedging_the_server() {
     let _g = obs_lock();
     frappe_obs::set_level(frappe_obs::ObsLevel::Counters);
     frappe_obs::query_stats().reset();
     // One worker so pipelined sleeps queue up and the watermark trips.
-    let server = start(ServeCore::Epoll, 1, cost_tier());
+    let server = start(1, cost_tier());
     prime_sleep_stats(&server, 50);
 
     // Pipeline three expensive sleeps, then slam the connection shut: at
@@ -419,9 +354,8 @@ fn disabled_admission_costs_nothing_measurable() {
     // workload. Median-of-9 batches, and the disabled path must not be
     // meaningfully slower than the armed one (generous 2x + 10ms slack,
     // same shape as the obs_overhead gate).
-    let disabled = start(ServeCore::Epoll, 2, AdmissionOptions::default());
+    let disabled = start(2, AdmissionOptions::default());
     let armed = start(
-        ServeCore::Epoll,
         2,
         AdmissionOptions {
             enabled: true,

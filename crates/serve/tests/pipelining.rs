@@ -2,9 +2,7 @@
 //! out-of-order completion, and the draining `!shutdown`.
 
 use frappe_model::{EdgeType, NodeType};
-use frappe_serve::{
-    AdmissionOptions, Clock, ServeCore, ServeGraph, Server, ServerOptions, SHUTDOWN_ACK,
-};
+use frappe_serve::{AdmissionOptions, Clock, ServeGraph, Server, ServerOptions, SHUTDOWN_ACK};
 use frappe_store::GraphStore;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -22,13 +20,12 @@ fn call_graph() -> ServeGraph {
 const HOP: &str = "START n=node:node_auto_index('short_name: main') \
                    MATCH n -[:calls]-> m RETURN m.short_name";
 
-fn start(core: ServeCore) -> Server {
+fn start() -> Server {
     Server::start(
         call_graph(),
         "127.0.0.1:0",
         "127.0.0.1:0",
         ServerOptions {
-            core,
             workers: 4,
             ..Default::default()
         },
@@ -71,7 +68,7 @@ fn pipeline(server: &Server, lines: &[&str], n: usize) -> (Vec<String>, BufReade
 
 #[test]
 fn replies_are_seq_tagged_and_complete() {
-    let server = start(ServeCore::Epoll);
+    let server = start();
     let queries = [HOP; 16];
     let (replies, _reader) = pipeline(&server, &queries, queries.len());
     let mut seqs: Vec<u64> = replies.iter().map(|r| seq_of(r)).collect();
@@ -89,8 +86,52 @@ fn replies_are_seq_tagged_and_complete() {
 }
 
 #[test]
+fn many_pipelined_connections_all_complete() {
+    // One client thread, no thread per connection: every connection is
+    // opened and loaded with its whole pipeline before any reply is read,
+    // so the event loop holds all of them at once.
+    const CONNS: usize = 256;
+    const DEPTH: u64 = 4;
+    let server = start();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let batch = format!("{HOP}\n").repeat(DEPTH as usize);
+    let mut conns = Vec::with_capacity(CONNS);
+    for _ in 0..CONNS {
+        let mut stream = TcpStream::connect(server.query_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(batch.as_bytes()).expect("write batch");
+        conns.push(BufReader::new(stream));
+    }
+    for (i, reader) in conns.iter_mut().enumerate() {
+        let mut seqs = Vec::new();
+        for _ in 0..DEPTH {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            assert!(reply.starts_with("{\"ok\": true, "), "conn {i}: {reply}");
+            seqs.push(seq_of(&reply));
+        }
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..DEPTH).collect::<Vec<u64>>(), "conn {i}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "stalled: {i} of {CONNS} connections answered in time"
+        );
+    }
+    // Every connection is still open, so the ledger counts all of them.
+    assert!(
+        server.open_conns() >= CONNS as u64,
+        "open_conns {}",
+        server.open_conns()
+    );
+    drop(conns);
+    server.shutdown();
+}
+
+#[test]
 fn slow_query_does_not_head_of_line_block() {
-    let server = start(ServeCore::Epoll);
+    let server = start();
     // seq 0 sleeps 600ms; seq 1 is a point lookup. With a worker pool the
     // lookup's reply must arrive first — out of order, correctly tagged.
     let (replies, _reader) = pipeline(&server, &["!sleep 600", HOP], 2);
@@ -102,17 +143,8 @@ fn slow_query_does_not_head_of_line_block() {
 }
 
 #[test]
-fn threads_core_tags_seqs_in_arrival_order() {
-    let server = start(ServeCore::Threads);
-    let (replies, _reader) = pipeline(&server, &[HOP, HOP, HOP], 3);
-    let seqs: Vec<u64> = replies.iter().map(|r| seq_of(r)).collect();
-    assert_eq!(seqs, vec![0, 1, 2], "thread core replies in order");
-    server.shutdown();
-}
-
-#[test]
 fn shutdown_drains_in_flight_queries_before_ack() {
-    let server = start(ServeCore::Epoll);
+    let server = start();
     // Two in-flight sleeps, then !shutdown on the same connection: both
     // sleep replies must land before the ack, and the server must stop.
     let (replies, mut reader) = pipeline(&server, &["!sleep 300", "!sleep 300", "!shutdown"], 3);
@@ -138,7 +170,6 @@ fn external_shutdown_drains_in_flight_queries() {
         "127.0.0.1:0",
         "127.0.0.1:0",
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 4,
             admission: AdmissionOptions {
                 enabled: true,
@@ -181,7 +212,6 @@ fn idle_connections_are_reaped_by_the_event_core() {
         "127.0.0.1:0",
         "127.0.0.1:0",
         ServerOptions {
-            core: ServeCore::Epoll,
             read_timeout: Duration::from_secs(60),
             clock: clock.clone(),
             ..Default::default()

@@ -1,13 +1,12 @@
-//! Request-trace propagation through the live serve stack, on both
-//! connection cores: span↔seq association across pipelined out-of-order
-//! replies, backpressure stalls surfacing as write-phase time, aborted
-//! commits for connections that die mid-request, and the `/trace`
-//! endpoint's Chrome trace-event JSON.
+//! Request-trace propagation through the live serve stack: span↔seq
+//! association across pipelined out-of-order replies, backpressure stalls
+//! surfacing as write-phase time, aborted commits for connections that
+//! die mid-request, and the `/trace` endpoint's Chrome trace-event JSON.
 
 use frappe_model::{EdgeType, NodeType};
 use frappe_obs::reqtrace::{reqtrace, ReqPhase};
 use frappe_obs::ReqRecord;
-use frappe_serve::{ServeCore, ServeGraph, Server, ServerOptions};
+use frappe_serve::{ServeGraph, Server, ServerOptions};
 use frappe_store::GraphStore;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -104,7 +103,6 @@ fn epoll_out_of_order_replies_keep_span_seq_association() {
     let server = start(
         fan_graph(2),
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 4,
             ..Default::default()
         },
@@ -163,7 +161,6 @@ fn backpressure_stall_is_visible_as_write_phase_time() {
     let server = start(
         fan_graph(4_000),
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 2,
             max_response_rows: 5_000,
             max_write_buffer: 256 * 1024,
@@ -225,7 +222,6 @@ fn dead_connection_commits_an_aborted_trace() {
     let server = start(
         fan_graph(2),
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 2,
             ..Default::default()
         },
@@ -256,41 +252,6 @@ fn dead_connection_commits_an_aborted_trace() {
 }
 
 #[test]
-fn threads_core_traces_exec_ser_write_spans() {
-    let _g = obs_lock();
-    frappe_obs::set_level(frappe_obs::ObsLevel::Counters);
-    reqtrace().clear();
-    let server = start(
-        fan_graph(2),
-        ServerOptions {
-            core: ServeCore::Threads,
-            ..Default::default()
-        },
-    );
-    let replies = pipeline(&server, &[HOP, HOP, HOP], 3);
-    assert!(replies.iter().all(|r| r.contains("\"ok\": true")));
-
-    let records = wait_records(|rs| rs.len() >= 3);
-    assert_eq!(records[0].conn, records[2].conn);
-    assert_eq!(
-        records.iter().map(|r| r.seq).collect::<Vec<_>>(),
-        vec![0, 1, 2],
-        "thread core replies (and commits) in order"
-    );
-    for r in &records {
-        assert!(r.phases[ReqPhase::Exec as usize].is_some(), "{r:?}");
-        assert!(r.phases[ReqPhase::Ser as usize].is_some(), "{r:?}");
-        assert!(r.phases[ReqPhase::Write as usize].is_some(), "{r:?}");
-        // A/B parity caveat: the blocking core has no framing buffer or
-        // dispatch queue, so recv/queue spans are intentionally absent.
-        assert!(r.phases[ReqPhase::Recv as usize].is_none(), "{r:?}");
-        assert!(r.phases[ReqPhase::Queue as usize].is_none(), "{r:?}");
-    }
-    server.shutdown();
-    frappe_obs::set_level(frappe_obs::ObsLevel::Off);
-}
-
-#[test]
 fn trace_endpoint_emits_valid_chrome_json_under_load() {
     let _g = obs_lock();
     frappe_obs::set_level(frappe_obs::ObsLevel::Counters);
@@ -298,7 +259,6 @@ fn trace_endpoint_emits_valid_chrome_json_under_load() {
     let server = start(
         fan_graph(2),
         ServerOptions {
-            core: ServeCore::Epoll,
             workers: 4,
             ..Default::default()
         },

@@ -5,7 +5,7 @@
 
 use frappe_model::{EdgeType, NodeType};
 use frappe_obs::SloSpec;
-use frappe_serve::{Clock, ServeCore, ServeGraph, Server, ServerOptions};
+use frappe_serve::{Clock, ServeGraph, Server, ServerOptions};
 use frappe_store::GraphStore;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -145,7 +145,6 @@ fn virtual_clock_sampler_is_hand_driven_and_slo_degrades_healthz() {
     let server = start_server(ServerOptions {
         sample_ms: 250,
         clock: clock.clone(),
-        core: ServeCore::Threads,
         slos: vec![SloSpec::parse("latency_p99_ms=50@telemetry.e2e.exec_ns").unwrap()],
         slo_windows: frappe_obs::Windows::parse("2:10:60").unwrap(),
         ..ServerOptions::default()

@@ -8,14 +8,14 @@
 # envelope, not on an unlucky scheduler slice.
 #
 # Usage: scripts/bench_seed_baselines.sh [group ...]
-#        (default groups: table5_queries ablation_mmap synth_build serve_c10k)
+#        (default groups: table5_queries ablation_mmap synth_build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUNS="${FRAPPE_SEED_RUNS:-5}"
 GROUPS_TO_SEED=("$@")
 if [[ ${#GROUPS_TO_SEED[@]} -eq 0 ]]; then
-  GROUPS_TO_SEED=(table5_queries ablation_mmap synth_build serve_c10k)
+  GROUPS_TO_SEED=(table5_queries ablation_mmap synth_build)
 fi
 
 workdir="$(mktemp -d)"

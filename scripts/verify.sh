@@ -83,17 +83,6 @@ FRAPPE_PT_CASES=256 cargo test -q --release -p frappe-query "${CARGO_FLAGS[@]}"
 echo "==> scripts/query_v2_smoke.sh"
 scripts/query_v2_smoke.sh
 
-# Serving load smoke: the c10k harness in quick mode drives both connection
-# cores end to end (emits BENCH_serve_c10k.json plus a /metrics scrape from
-# the loaded server), then the regression gate checks whatever BENCH_*.json
-# files this run produced against the checked-in baselines.
-echo "==> FRAPPE_BENCH_QUICK=1 cargo bench -p frappe-bench --bench serve_c10k ${CARGO_FLAGS[*]}"
-FRAPPE_BENCH_QUICK=1 FRAPPE_BENCH_DIR="$PWD/target/frappe-bench" \
-  cargo bench -q -p frappe-bench --bench serve_c10k "${CARGO_FLAGS[@]}"
-
-echo "==> scripts/bench_gate.sh"
-FRAPPE_BENCH_DIR="$PWD/target/frappe-bench" scripts/bench_gate.sh
-
 # End-to-end benchmark (benchmark/, its own workspace): the driver's unit
 # tests, then the quick smoke (scale 0.02, 1 s windows) over the real
 # socket, which exits non-zero if any run is not correct (a reply the
